@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 on success, 2 when no estimate was produced, 3 when the
-estimator exceeded its iteration budget, 1 on usage or I/O errors.  The
+Exit codes: 0 on success, 2 when no estimate was produced (including an
+instance beyond an enumeration cap), 3 when the estimator exceeded its
+iteration budget, 1 on usage or I/O errors.  The
 environment variable FGCOUNT_SEED, when set, overrides any --seed flag.
 """
 
@@ -27,7 +28,7 @@ from .generators import GeneratorSpec, InfeasiblePlant, generate
 from .instances import Problem, load_instance, save_instance
 from .reductions import count_3sum, count_nwt, count_ov
 from .rng import RngStream, derive_stream
-from .satcount import CnfFormula, approx_count_cnf
+from .satcount import CapExceeded, CnfFormula, approx_count_cnf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,6 +106,9 @@ def _count_command(counter, instance_file, eps, seed, exact_flag, expected_kind)
     except IterationBudgetExceeded:
         click.echo("BUDGET_EXCEEDED")
         sys.exit(EXIT_BUDGET)
+    except CapExceeded as exc:
+        click.echo(f"CAP_EXCEEDED: {exc}")
+        sys.exit(EXIT_NO_ESTIMATE)
     if value is None:
         click.echo("NO_ESTIMATE")
         sys.exit(EXIT_NO_ESTIMATE)

@@ -32,7 +32,7 @@ from .instances import Problem, ProblemInstance, load_instance, problem_kind
 from .oracles import matrix_oracles
 from .reductions import CountStats, count_3sum, count_nwt, count_ov
 from .rng import RngStream, derive_stream
-from .satcount import CnfFormula, approx_count_cnf
+from .satcount import CapExceeded, CnfFormula, approx_count_cnf
 
 __all__ = [
     "Outcome",
@@ -69,6 +69,7 @@ class Outcome(Enum):
     OK = "OK"
     NO_ESTIMATE = "NO_ESTIMATE"
     BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
+    CAP_EXCEEDED = "CAP_EXCEEDED"
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,8 @@ def run_trials(
                 outcome = Outcome.NO_ESTIMATE
         except IterationBudgetExceeded:
             outcome = Outcome.BUDGET_EXCEEDED
+        except CapExceeded:
+            outcome = Outcome.CAP_EXCEEDED
         elapsed = time.perf_counter_ns() - start
         return TrialRecord(
             trial_id=trial_id,

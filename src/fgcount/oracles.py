@@ -163,10 +163,10 @@ class BipartiteOracles:
 
 
 def _pack_rows(matrix: np.ndarray) -> np.ndarray:
-    """Pack a boolean matrix row-wise into uint64 words (zero padded)."""
+    """Pack a boolean or 0/1 matrix row-wise into uint64 words (zero padded)."""
     n_rows, n_cols = matrix.shape
     words = max(1, (n_cols + 63) // 64)
-    padded = np.zeros((n_rows, words * 64), dtype=bool)
+    padded = np.zeros((n_rows, words * 64), dtype=matrix.dtype)  # no cast on copy
     padded[:, :n_cols] = matrix
     packed_bytes = np.packbits(padded, axis=1, bitorder="little")
     return packed_bytes.view(np.uint64).reshape(n_rows, words)

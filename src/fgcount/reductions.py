@@ -36,7 +36,7 @@ from .edgecount import (
     EdgeCountStats,
     edge_count,
 )
-from .oracles import BipartiteOracles
+from .oracles import BipartiteOracles, _pack_rows
 from .rng import RngStream, derive_stream
 
 __all__ = [
@@ -124,7 +124,7 @@ class OvInstance:
 
     @cached_property
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        return _pack_bits(self.a), _pack_bits(self.b)
+        return _pack_rows(self.a), _pack_rows(self.b)
 
 
 def _as_bit_matrix(x) -> np.ndarray:
@@ -134,14 +134,6 @@ def _as_bit_matrix(x) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("vector lists must be two-dimensional 0/1 arrays")
     return arr
-
-
-def _pack_bits(matrix: np.ndarray) -> np.ndarray:
-    rows, cols = matrix.shape
-    words = max(1, (cols + 63) // 64)
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :cols] = matrix
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
 @dataclass

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Union
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -86,6 +87,24 @@ class CnfFormula:
                 if lit == 0 or abs(lit) > self.n_vars:
                     raise ValueError(f"literal {lit} out of range for n={self.n_vars}")
 
+    @cached_property
+    def masks(self) -> tuple[tuple[int, int], ...]:
+        """Each clause as (pos_mask, neg_mask), bit v-1 standing for x_v.
+
+        A clause holding both x_v and -x_v is always satisfied and is left out.
+        """
+        out = []
+        for clause in self.clauses:
+            pos = neg = 0
+            for lit in clause:
+                if lit > 0:
+                    pos |= 1 << (lit - 1)
+                else:
+                    neg |= 1 << (-lit - 1)
+            if not pos & neg:
+                out.append((pos, neg))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class XorRow:
@@ -102,15 +121,6 @@ class XorRow:
             raise ValueError("coefficients and rhs are GF(2) bits")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support indices must be distinct")
-
-    def effective_vars(self) -> tuple[int, ...]:
-        return tuple(v for v, c in zip(self.support, self.coeffs) if c)
-
-    def is_violated(self) -> bool:
-        return not any(self.coeffs) and self.rhs == 1
-
-    def is_trivial(self) -> bool:
-        return not any(self.coeffs) and self.rhs == 0
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,14 @@ class SparseXorSystem:
                 if not 1 <= v <= self.n_vars:
                     raise ValueError(f"support variable {v} out of range")
 
+    @cached_property
+    def masks(self) -> tuple[tuple[int, int], ...]:
+        """Each row as (mask, rhs): the parity of the masked bits must equal rhs."""
+        return tuple(
+            (sum(1 << (v - 1) for v, c in zip(row.support, row.coeffs) if c), row.rhs)
+            for row in self.rows
+        )
+
 
 def empty_system(n_vars: int) -> SparseXorSystem:
     return SparseXorSystem(n_vars=n_vars, sparsity_s=1, rows=())
@@ -142,129 +160,56 @@ def empty_system(n_vars: int) -> SparseXorSystem:
 class AugmentedFormula:
     """CNF plus XOR system plus a partial assignment (for self-reduction).
 
-    ``assign`` simplifies in place: satisfied clauses are dropped, falsified
-    literals removed (an empty clause marks unsatisfiability), and assigned
-    bits are folded into XOR right-hand sides (an all-zero row with rhs 1
-    marks unsatisfiability).  Semantics: completions of the assignment
+    The assignment is also held as two bitmasks, ``assigned_mask`` and
+    ``value_bits`` (bit v-1 standing for x_v).  ``assign`` adds one entry
+    and shares the parent's ``cnf`` and ``xors``; consumers evaluate clauses
+    and rows against the masks.  Semantics: completions of the assignment
     satisfying all clauses and rows.
     """
 
     cnf: CnfFormula
     xors: SparseXorSystem
     partial_assignment: Mapping[int, int] = field(default_factory=dict)
+    assigned_mask: int = field(init=False, repr=False, compare=False)
+    value_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cnf.n_vars != self.xors.n_vars:
             raise ValueError("CNF and XOR system disagree on variable count")
         assignment = dict(self.partial_assignment)
+        assigned = values = 0
         for v, b in assignment.items():
             if not 1 <= v <= self.cnf.n_vars or b not in (0, 1):
                 raise ValueError(f"bad assignment entry {v}={b}")
+            assigned |= 1 << (v - 1)
+            values |= b << (v - 1)
         object.__setattr__(self, "partial_assignment", assignment)
+        object.__setattr__(self, "assigned_mask", assigned)
+        object.__setattr__(self, "value_bits", values)
 
     @property
     def n_vars(self) -> int:
         return self.cnf.n_vars
 
     def free_count(self) -> int:
-        return self.cnf.n_vars - len(self.partial_assignment)
+        return self.cnf.n_vars - self.assigned_mask.bit_count()
 
     def first_free_variable(self) -> Optional[int]:
-        for v in range(1, self.cnf.n_vars + 1):
-            if v not in self.partial_assignment:
-                return v
-        return None
-
-    def has_empty_clause(self) -> bool:
-        return any(len(c) == 0 for c in self.cnf.clauses)
-
-    def has_violated_xor(self) -> bool:
-        return any(row.is_violated() for row in self.xors.rows)
+        free = ~self.assigned_mask & ((1 << self.cnf.n_vars) - 1)
+        return (free & -free).bit_length() or None
 
     def assign(self, var: int, value: int) -> "AugmentedFormula":
+        """The same formula with x_var = value added to the assignment."""
         if var in self.partial_assignment:
             raise ValueError(f"variable {var} already assigned")
         if value not in (0, 1):
             raise ValueError("assignment values are bits")
-
-        new_clauses = []
-        for clause in self.cnf.clauses:
-            satisfied = False
-            touched = False
-            for lit in clause:
-                if abs(lit) == var:
-                    touched = True
-                    if (lit > 0) == bool(value):
-                        satisfied = True
-                        break
-            if satisfied:
-                continue
-            if touched:
-                clause = tuple(l for l in clause if abs(l) != var)
-            new_clauses.append(clause)
-
-        new_rows = []
-        for row in self.xors.rows:
-            if var in row.support:
-                idx = row.support.index(var)
-                rhs = row.rhs ^ (row.coeffs[idx] & value)
-                support = row.support[:idx] + row.support[idx + 1 :]
-                coeffs = row.coeffs[:idx] + row.coeffs[idx + 1 :]
-                row = _trusted_row(support, coeffs, rhs)
-            if not row.is_trivial():
-                new_rows.append(row)
-
-        assignment = dict(self.partial_assignment)
-        assignment[var] = value
-        return _trusted_augmented(
-            _trusted_cnf(self.cnf.n_vars, self.cnf.width_k, tuple(new_clauses)),
-            _trusted_system(self.xors.n_vars, self.xors.sparsity_s, tuple(new_rows)),
-            assignment,
-        )
+        return AugmentedFormula(self.cnf, self.xors, {**self.partial_assignment, var: value})
 
 
 def augment(cnf: CnfFormula) -> AugmentedFormula:
     """Wrap a plain CNF as an augmented formula with no XOR rows."""
     return AugmentedFormula(cnf=cnf, xors=empty_system(cnf.n_vars))
-
-
-# Validation in the dataclass constructors is O(formula) and dominates the
-# self-reduction's per-node cost; these trusted constructors skip it for
-# simplification outputs, whose invariants follow from the inputs'.
-
-
-def _trusted_cnf(n_vars: int, width_k: int, clauses: tuple) -> CnfFormula:
-    f = object.__new__(CnfFormula)
-    object.__setattr__(f, "n_vars", n_vars)
-    object.__setattr__(f, "width_k", width_k)
-    object.__setattr__(f, "clauses", clauses)
-    return f
-
-
-def _trusted_row(support: tuple, coeffs: tuple, rhs: int) -> XorRow:
-    r = object.__new__(XorRow)
-    object.__setattr__(r, "support", support)
-    object.__setattr__(r, "coeffs", coeffs)
-    object.__setattr__(r, "rhs", rhs)
-    return r
-
-
-def _trusted_system(n_vars: int, sparsity_s: int, rows: tuple) -> SparseXorSystem:
-    s = object.__new__(SparseXorSystem)
-    object.__setattr__(s, "n_vars", n_vars)
-    object.__setattr__(s, "sparsity_s", sparsity_s)
-    object.__setattr__(s, "rows", rows)
-    return s
-
-
-def _trusted_augmented(
-    cnf: CnfFormula, xors: SparseXorSystem, assignment: dict
-) -> AugmentedFormula:
-    f = object.__new__(AugmentedFormula)
-    object.__setattr__(f, "cnf", cnf)
-    object.__setattr__(f, "xors", xors)
-    object.__setattr__(f, "partial_assignment", assignment)
-    return f
 
 
 # --------------------------------------------------------------------------
@@ -377,23 +322,12 @@ def conjoin(cnf: CnfFormula, system: SparseXorSystem, rng: RngStream) -> Augment
 # --------------------------------------------------------------------------
 
 
-def _find_forced(f: AugmentedFormula) -> Optional[tuple[int, int]]:
-    for clause in f.cnf.clauses:
-        if len(clause) == 1:
-            lit = clause[0]
-            return abs(lit), 1 if lit > 0 else 0
-    for row in f.xors.rows:
-        eff = row.effective_vars()
-        if len(eff) == 1:
-            return eff[0], row.rhs
-    return None
-
-
 def decide_pi_ks(formula: AugmentedFormula, *, free_var_cap: int = 32) -> bool:
     """Satisfiability of CNF ∧ XOR by backtracking with unit propagation.
 
-    Clause units and single-variable XOR rows are propagated to a fixpoint
-    before branching on the lowest-index free variable.  A stand-in for the
+    Clause units and XOR rows with one free variable are propagated to a
+    fixpoint before branching on the lowest-index free variable; the search
+    state is an (assigned, values) bitmask pair.  A stand-in for the
     abstract satisfiability oracle at desk scale; refuses formulas with more
     than ``free_var_cap`` free variables.
     """
@@ -401,132 +335,103 @@ def decide_pi_ks(formula: AugmentedFormula, *, free_var_cap: int = 32) -> bool:
         raise CapExceeded(
             f"{formula.free_count()} free variables exceed the decision cap {free_var_cap}"
         )
+    clauses = formula.cnf.masks
+    rows = formula.xors.masks
+    every = (1 << formula.n_vars) - 1
 
-    def search(f: AugmentedFormula) -> bool:
-        while True:
-            if f.has_empty_clause() or f.has_violated_xor():
-                return False
-            forced = _find_forced(f)
-            if forced is None:
-                break
-            f = f.assign(*forced)
-        var = f.first_free_variable()
-        if var is None:
+    def search(assigned: int, values: int) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for pos, neg in clauses:
+                if (values & pos) | (assigned & ~values & neg):
+                    continue
+                free = (pos | neg) & ~assigned
+                if not free:
+                    return False
+                if not free & (free - 1):
+                    assigned |= free
+                    values |= free & pos
+                    changed = True
+            for mask, rhs in rows:
+                free = mask & ~assigned
+                parity = (values & mask).bit_count() & 1
+                if not free:
+                    if parity != rhs:
+                        return False
+                elif not free & (free - 1):
+                    assigned |= free
+                    if parity != rhs:
+                        values |= free
+                    changed = True
+        free = every & ~assigned
+        if not free:
             return True
-        return search(f.assign(var, 0)) or search(f.assign(var, 1))
+        bit = free & -free
+        return search(assigned | bit, values) or search(assigned | bit, values | bit)
 
-    return search(formula)
+    return search(formula.assigned_mask, formula.value_bits)
 
 
-def _clause_plan(f: AugmentedFormula):
-    """Compile clauses/rows against the free-variable bit layout.
-
-    Returns None if the formula is constant-false; otherwise
-    (free_vars, clause_specs, row_specs) where clause specs are
-    (positions, polarities) over free bits and row specs are (mask, rhs).
-    """
-    assignment = f.partial_assignment
-    free = [v for v in range(1, f.n_vars + 1) if v not in assignment]
-    pos_of = {v: i for i, v in enumerate(free)}
-
-    clause_specs = []
-    for clause in f.cnf.clauses:
-        satisfied = False
-        positions = []
-        polarities = []
-        for lit in clause:
-            v = abs(lit)
-            want = 1 if lit > 0 else 0
-            if v in assignment:
-                if assignment[v] == want:
-                    satisfied = True
-                    break
-            else:
-                positions.append(pos_of[v])
-                polarities.append(want)
-        if satisfied:
-            continue
-        if not positions:
-            return None  # empty (falsified) clause
-        clause_specs.append((np.asarray(positions), np.asarray(polarities, dtype=np.uint64)))
-
-    row_specs = []
-    for row in f.xors.rows:
-        rhs = row.rhs
-        mask = 0
-        for v, c in zip(row.support, row.coeffs):
-            if not c:
-                continue
-            if v in assignment:
-                rhs ^= assignment[v]
-            else:
-                mask |= 1 << pos_of[v]
-        if mask == 0:
-            if rhs == 1:
-                return None
-            continue
-        row_specs.append((np.uint64(mask), np.uint64(rhs)))
-
-    return free, clause_specs, row_specs
+def _satisfied(codes: np.ndarray, clauses, rows) -> np.ndarray:
+    """Which n-bit codes satisfy every (pos, neg) clause and (mask, rhs) row."""
+    ok = np.ones(codes.shape, dtype=bool)
+    for pos, neg in clauses:
+        # (codes & pos) | (~codes & neg) != 0; equal because pos & neg == 0
+        ok &= (codes ^ np.uint64(neg)) & np.uint64(pos | neg) != 0
+    for mask, rhs in rows:
+        ok &= np.bitwise_count(codes & np.uint64(mask)) & 1 == rhs
+    return ok
 
 
 def _satisfying_codes(f: AugmentedFormula, cap: int, chunk: int = 1 << 18):
-    """Yield chunks of free-variable bit codes satisfying the formula."""
-    plan = _clause_plan(f)
-    if plan is None:
-        return
-    free, clause_specs, row_specs = plan
-    width = len(free)
+    """Yield chunks of the formula's solutions as n-bit codes (bit v-1 = x_v)."""
+    width = f.free_count()
     if width > cap:
         raise CapExceeded(f"{width} free variables exceed the enumeration cap {cap}")
+    if f.n_vars > 64:
+        raise CapExceeded(f"{f.n_vars} variables do not fit a 64-bit code")
+    free_bits = [p for p in range(f.n_vars) if not f.assigned_mask >> p & 1]
     total = 1 << width
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(codes.shape, dtype=bool)
-        for positions, polarities in clause_specs:
-            sat = np.zeros(codes.shape, dtype=bool)
-            for p, want in zip(positions, polarities):
-                sat |= ((codes >> np.uint64(p)) & np.uint64(1)) == want
-            ok &= sat
-        for mask, rhs in row_specs:
-            parity = np.bitwise_count(codes & mask) & np.uint64(1)
-            ok &= parity == rhs
-        yield free, codes[ok]
+        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        if f.assigned_mask:
+            index, codes = codes, np.full(codes.shape, f.value_bits, dtype=np.uint64)
+            for i, p in enumerate(free_bits):
+                codes |= (index >> np.uint64(i) & np.uint64(1)) << np.uint64(p)
+        yield codes[_satisfied(codes, f.cnf.masks, f.xors.masks)]
 
 
 def brute_force_count(f: AugmentedFormula, *, cap: int = 26) -> int:
     """Exact solution count by exhaustive enumeration over free variables."""
-    total = 0
-    for _, codes in _satisfying_codes(f, cap):
-        total += int(codes.size)
-    # A formula with zero free variables has exactly one candidate (the
-    # empty completion); the generator above handles that via width 0.
-    return total
+    return sum(int(codes.size) for codes in _satisfying_codes(f, cap))
 
 
 def solution_codes(cnf: CnfFormula, *, cap: int = 26) -> np.ndarray:
     """All satisfying assignments of a plain CNF as n-bit codes (bit v-1 = x_v)."""
-    out = []
-    for free, codes in _satisfying_codes(augment(cnf), cap):
-        # free variables are 1..n in order, so codes are already full codes
-        out.append(codes)
-    if not out:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(out)
+    return np.concatenate(list(_satisfying_codes(augment(cnf), cap)))
+
+
+def _bit_reverse(x, n: int):
+    """The low n bits of ``x`` (an int or a uint64 array) in reverse order."""
+    out = x & 0
+    for i in range(n):
+        out |= (x >> i & 1) << (n - 1 - i)
+    return out
 
 
 class EnumerationDecider:
     """Exact oracle for descendants of one base CNF, backed by a solution table.
 
     Enumerates the base CNF's solutions once, then answers satisfiability of
-    any formula obtained from it by conjoining XOR rows and assigning a
-    prefix of the variables — exactly the query pattern of ``sparse_count``
-    driven by ``sat_solve``.  Root queries (empty assignment) re-filter the
-    table against the current XOR system; descendant queries reduce to a
-    range lookup because prefix assignments are contiguous in bit-reversed
-    order.  Assignments that are not variable prefixes fall back to a
-    direct filter, so the decider is safe for ad-hoc use too.
+    any formula obtained from it by conjoining XOR rows and assigning
+    variables — the query pattern of ``sparse_count`` driven by
+    ``sat_solve``.  The solutions that satisfy the query's XOR rows are kept,
+    bit-reversed and sorted, until a query arrives with another rows object
+    (``assign`` shares rows, so a whole self-reduction reuses one table).
+    Assignments of a variable prefix x_1..x_j reduce to a range lookup,
+    because their completions are contiguous in bit-reversed order; other
+    assignments filter the table directly.
     """
 
     def __init__(self, cnf: CnfFormula, *, cap: int = 26) -> None:
@@ -534,65 +439,23 @@ class EnumerationDecider:
         self.n = cnf.n_vars
         self.codes = solution_codes(cnf, cap=cap)
         self.calls = 0
-        rev = np.zeros(self.codes.shape, dtype=np.uint64)
-        for v in range(1, self.n + 1):
-            bit = (self.codes >> np.uint64(v - 1)) & np.uint64(1)
-            rev |= bit << np.uint64(self.n - v)
-        self._rev_sorted = np.sort(rev)
-        self._root_rows: Optional[tuple] = None
-        self._root_rev: Optional[np.ndarray] = None
-
-    def _filter_rows(self, rows: Iterable[XorRow], codes: np.ndarray) -> np.ndarray:
-        ok = np.ones(codes.shape, dtype=bool)
-        for row in rows:
-            mask = 0
-            for v, c in zip(row.support, row.coeffs):
-                if c:
-                    mask |= 1 << (v - 1)
-            parity = np.bitwise_count(codes & np.uint64(mask)) & np.uint64(1)
-            ok &= parity == np.uint64(row.rhs)
-        return codes[ok]
-
-    def _reverse(self, codes: np.ndarray) -> np.ndarray:
-        rev = np.zeros(codes.shape, dtype=np.uint64)
-        for v in range(1, self.n + 1):
-            bit = (codes >> np.uint64(v - 1)) & np.uint64(1)
-            rev |= bit << np.uint64(self.n - v)
-        return np.sort(rev)
+        self._rows: Optional[tuple] = None  # the rows the table was filtered by
+        self._rev_sorted: Optional[np.ndarray] = None
 
     def __call__(self, f: AugmentedFormula) -> bool:
         self.calls += 1
-        assignment = f.partial_assignment
-        if not assignment:
-            rows = f.xors.rows
-            if rows != self._root_rows:
-                self._root_rows = rows
-                self._root_rev = self._reverse(self._filter_rows(rows, self.codes))
-            return self._root_rev.size > 0
-
-        j = len(assignment)
-        is_prefix = all(v in assignment for v in range(1, j + 1))
-        if is_prefix and self._root_rev is not None:
-            key = 0
-            for v in range(1, j + 1):
-                key |= assignment[v] << (self.n - v)
-            width = self.n - j
-            lo = np.searchsorted(self._root_rev, np.uint64(key), side="left")
-            hi = np.searchsorted(self._root_rev, np.uint64(key + (1 << width)), side="left")
+        if f.xors.rows is not self._rows:
+            self._rows = f.xors.rows
+            table = self.codes[_satisfied(self.codes, (), f.xors.masks)]
+            self._rev_sorted = np.sort(_bit_reverse(table, self.n))
+        j = f.assigned_mask.bit_count()
+        if f.assigned_mask == (1 << j) - 1:
+            key = _bit_reverse(f.value_bits, j) << (self.n - j)
+            bounds = np.array([key, key + (1 << (self.n - j))], dtype=np.uint64)
+            lo, hi = self._rev_sorted.searchsorted(bounds)
             return bool(hi > lo)
-
-        # General fallback: filter the base table by the assignment bits and
-        # evaluate the formula's own (folded) rows on the survivors.  The
-        # survivors carry the true assigned bits, so folded and unfolded
-        # rows agree on them.
-        amask = 0
-        abits = 0
-        for v, b in assignment.items():
-            amask |= 1 << (v - 1)
-            abits |= b << (v - 1)
-        survivors = self.codes[(self.codes & np.uint64(amask)) == np.uint64(abits)]
-        survivors = self._filter_rows(f.xors.rows, survivors)
-        return survivors.size > 0
+        mask, bits = (np.uint64(_bit_reverse(x, self.n)) for x in (f.assigned_mask, f.value_bits))
+        return bool(((self._rev_sorted & mask) == bits).any())
 
 
 # --------------------------------------------------------------------------
@@ -737,14 +600,16 @@ def approx_count_cnf(
     config: SatSolveConfig = DEFAULT_SAT_CONFIG,
     oracle: Optional[Callable[[AugmentedFormula], bool]] = None,
 ) -> Optional[int]:
-    """Top-level counter: brute-force decider, amplified, driving sat_solve.
+    """Top-level counter: a satisfiability oracle driving sat_solve.
 
     For eps below 2^-n an exact count is at least as cheap as estimating,
-    so it is returned directly.  Otherwise the backtracking decider is
-    majority-amplified to a per-call failure of eps^2 / (C n 2^(delta n/3))
-    and the counting run executes at delta/3 (whose sparsity requirement
-    40 lg(2/(delta/3))^2/(delta/3) equals the 120 lg(6/delta)^2/delta level
-    this wrapper is specified at).  Success probability >= 2/3.
+    so it is returned directly.  Otherwise the counting run executes at
+    delta/3 (whose sparsity requirement 40 lg(2/(delta/3))^2/(delta/3)
+    equals the 120 lg(6/delta)^2/delta level this wrapper is specified at).
+    Without an ``oracle`` the exact backtracking decider answers every
+    query once; a caller-supplied oracle is assumed to err with probability
+    <= 1/3 and is majority-amplified to a per-call failure of
+    eps^2 / (C n 2^(delta n/3)).  Success probability >= 2/3.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
@@ -755,13 +620,13 @@ def approx_count_cnf(
         return brute_force_count(augment(formula), cap=config.brute_force_cap)
 
     params = SatSolveParams.for_instance(n, delta / 3.0, eps)
-    base = oracle if oracle is not None else (
-        lambda f: decide_pi_ks(f, free_var_cap=config.brute_force_cap)
-    )
-    target = eps**2 / (config.amplification_c * n * 2.0 ** (delta * n / 3.0))
-    target = max(target, 1e-300)
-    amplified = amplify(base, target)
-    return sat_solve(formula, params, amplified, rng, config=config)
+    if oracle is None:
+        # Repeating a deterministic decider would only repeat its answer.
+        oracle = lambda f: decide_pi_ks(f, free_var_cap=config.brute_force_cap)
+    else:
+        target = eps**2 / (config.amplification_c * n * 2.0 ** (delta * n / 3.0))
+        oracle = amplify(oracle, max(target, 1e-300))
+    return sat_solve(formula, params, oracle, rng, config=config)
 
 
 # --------------------------------------------------------------------------
@@ -770,8 +635,13 @@ def approx_count_cnf(
 
 
 def parse_dimacs(text: str) -> AugmentedFormula:
-    """Parse DIMACS CNF; lines "x <rhs> v:c v:c ... 0" add XOR rows."""
+    """Parse DIMACS CNF; lines "x <rhs> v:c v:c ... 0" add XOR rows.
+
+    The header's clause count covers the CNF clauses only, as written by
+    ``write_dimacs``; a mismatch raises ``ValueError``.
+    """
     n_vars = None
+    n_clauses = 0
     clauses: list[tuple[int, ...]] = []
     rows: list[XorRow] = []
     pending: list[int] = []
@@ -783,10 +653,12 @@ def parse_dimacs(text: str) -> AugmentedFormula:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
-            n_vars = int(parts[2])
+            n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if line.startswith("x"):
             parts = line.split()
+            if len(parts) < 2:
+                raise ValueError(f"XOR line without a right-hand side: {line!r}")
             rhs = int(parts[1])
             support = []
             coeffs = []
@@ -809,6 +681,8 @@ def parse_dimacs(text: str) -> AugmentedFormula:
         clauses.append(tuple(pending))
     if n_vars is None:
         raise ValueError("missing 'p cnf' header")
+    if len(clauses) != n_clauses:
+        raise ValueError(f"header declares {n_clauses} clauses, found {len(clauses)}")
     width = max((len(c) for c in clauses), default=1)
     width = max(width, 1)
     cnf = CnfFormula(n_vars=n_vars, width_k=width, clauses=tuple(clauses))

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from fgcount.cli import EXIT_USAGE, main
+from fgcount.cli import EXIT_NO_ESTIMATE, EXIT_USAGE, main
 
 
 @pytest.fixture()
@@ -106,3 +106,22 @@ def test_count_cnf_rejects_xor_extended_files(runner, tmp_path):
     path.write_text("p cnf 3 1\n1 2 0\nx 1 1:1 3:1 0\n")
     r = runner.invoke(main, ["count-cnf", str(path)])
     assert r.exit_code == EXIT_USAGE
+
+
+def test_count_cnf_beyond_the_enumeration_cap_is_no_estimate(runner, tmp_path):
+    path = tmp_path / "f.cnf"
+    r = runner.invoke(main, ["gen", "--problem", "cnf", "--n", "30",
+                             "--clauses", "120", "--seed", "4", "--out", str(path)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["count-cnf", str(path)])
+    assert r.exit_code == EXIT_NO_ESTIMATE
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output.startswith("CAP_EXCEEDED: ")
+
+
+def test_malformed_xor_line_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 3 1\n1 2 0\nx\n")
+    r = runner.invoke(main, ["count-cnf", str(path)])
+    assert r.exit_code == EXIT_USAGE
+    assert r.output.startswith("error: ")

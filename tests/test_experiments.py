@@ -71,6 +71,18 @@ def test_budget_exceeded_is_recorded_not_raised():
     assert all(r.estimate is None for r in records)
 
 
+def test_cap_exceeded_is_recorded_not_raised():
+    # approx_count_cnf brute-forces a 30-variable formula at default
+    # constants, which is beyond its enumeration cap.
+    from fgcount.experiments import instance_counter
+    from fgcount.satcount import CnfFormula
+
+    counter = instance_counter(CnfFormula(30, 1, ((1,),)), 0.3)
+    records = run_trials(counter, 2, RngStream(3))
+    assert all(r.outcome is Outcome.CAP_EXCEEDED for r in records)
+    assert all(r.estimate is None for r in records)
+
+
 def test_no_estimate_recorded():
     records = run_trials(lambda rng, stats: None, 2, RngStream(2))
     assert all(r.outcome is Outcome.NO_ESTIMATE for r in records)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fgcount import satcount
 from fgcount.rng import RngStream, derive_stream
 from fgcount.satcount import (
     FAIL,
@@ -54,36 +57,48 @@ def random_cnf(gen, n, m, k=3):
 # -- formula plumbing --------------------------------------------------------
 
 
-def test_assign_simplifies_clauses_and_folds_rows():
+def test_assigned_formula_counts_the_completions_of_the_assignment():
     cnf = CnfFormula(3, 3, ((1, 2), (-1, 3), (-2,)))
     rows = SparseXorSystem(3, 2, (XorRow((1, 2), (1, 1), 1),))
     f = AugmentedFormula(cnf=cnf, xors=rows)
     g = f.assign(1, 1)
-    # (x1 v x2) satisfied and dropped; (-x1 v x3) loses its first literal
-    assert g.cnf.clauses == ((3,), (-2,))
-    # x1 + x2 = 1 folds to x2 = 0
-    assert g.xors.rows == (XorRow((2,), (1,), 0),)
+    # x1 = 1 leaves x2 = 0 (row and third clause) and x3 = 1 (second clause)
+    assert brute_force_count(g) == 1
+    assert decide_pi_ks(g) is True
+    assert g.cnf is f.cnf and g.xors is f.xors
     assert g.partial_assignment == {1: 1}
+    assert (g.assigned_mask, g.value_bits) == (0b1, 0b1)
     assert g.first_free_variable() == 2
+    # the two branches on a variable split the parent's solutions
+    for var in (1, 2, 3):
+        assert brute_force_count(f.assign(var, 0)) + brute_force_count(f.assign(var, 1)) == (
+            brute_force_count(f)
+        )
+    with pytest.raises(ValueError):
+        g.assign(1, 0)
 
 
-def test_assign_detects_unsatisfiable_markers():
+def test_assignment_can_make_a_formula_unsatisfiable():
     f = augment(CnfFormula(1, 1, ((1,),)))
-    g = f.assign(1, 0)
-    assert g.has_empty_clause()
+    g = f.assign(1, 0)  # falsifies the only clause
+    assert brute_force_count(g) == 0
+    assert decide_pi_ks(g) is False
     h = AugmentedFormula(
         cnf=CnfFormula(1, 1, ()),
         xors=SparseXorSystem(1, 1, (XorRow((1,), (1,), 1),)),
-    ).assign(1, 0)
-    assert h.has_violated_xor()
+    ).assign(1, 0)  # violates x1 = 1
+    assert brute_force_count(h) == 0
+    assert decide_pi_ks(h) is False
 
 
-def test_trivial_rows_are_dropped_on_fold():
+def test_xor_row_satisfied_by_an_assignment_leaves_other_variables_free():
     f = AugmentedFormula(
         cnf=CnfFormula(2, 1, ()),
         xors=SparseXorSystem(2, 1, (XorRow((1,), (1,), 1),)),
     )
-    assert f.assign(1, 1).xors.rows == ()
+    g = f.assign(1, 1)
+    assert brute_force_count(g) == 2
+    assert decide_pi_ks(g) is True
 
 
 # -- sparse_count ------------------------------------------------------------
@@ -245,6 +260,7 @@ def test_decide_agrees_with_enumeration_on_augmented_instances():
     # Random width-3 formulas near the satisfiability threshold plus four
     # XOR rows: both answers occur often.
     gen = np.random.default_rng(100)
+    pick = np.random.default_rng(106)  # assignments; leaves gen's formulas as they were
     master = RngStream(101)
     answers = {True: 0, False: 0}
     for trial in range(200):
@@ -254,9 +270,18 @@ def test_decide_agrees_with_enumeration_on_augmented_instances():
             int(gen.integers(2, n + 1)), 4, n, derive_stream(master, f"h{trial}")
         )
         aug = conjoin(f, system, derive_stream(master, f"b{trial}"))
-        got = decide_pi_ks(aug)
-        answers[got] += 1
-        assert got == (brute_force_count(aug) > 0)
+        enum = EnumerationDecider(f)
+        # the root, a prefix x1..xj and a random (rarely prefix) subset
+        j = int(pick.integers(1, n))
+        subset = pick.choice(n, size=int(pick.integers(1, n)), replace=False) + 1
+        for vs in ((), range(1, j + 1), subset):
+            g = aug
+            for v in vs:
+                g = g.assign(int(v), int(pick.integers(0, 2)))
+            got = decide_pi_ks(g)
+            answers[got] += 1
+            assert got == (brute_force_count(g) > 0)
+            assert enum(g) == got
     assert answers[True] > 0 and answers[False] > 0
 
 
@@ -265,10 +290,10 @@ def test_enumeration_decider_matches_dpll_along_self_reduction():
     master = RngStream(103)
     n = 10
     f = random_cnf(gen, n, 18)
+    enum = EnumerationDecider(f)  # one decider for every hashed copy, as in sat_solve
     for trial in range(10):
         system = sample_hash(n, 3, n, derive_stream(master, f"h{trial}"))
         aug = conjoin(f, system, derive_stream(master, f"b{trial}"))
-        enum = EnumerationDecider(f)
         r1 = sparse_count(aug, 1 << n, enum)
         r2 = sparse_count(aug, 1 << n, oracle_dpll)
         assert r1 == r2
@@ -419,6 +444,35 @@ def test_wrapper_n20_random_formulas():
         assert abs(v - exact) <= 0.4 * exact
 
 
+def test_wrapper_calls_the_builtin_decider_once_per_query(monkeypatch):
+    # The built-in decider is exact, so the wrapper must not repeat it.
+    base_calls = 0
+    queries = 0
+    decide = satcount.decide_pi_ks
+    count = satcount.sparse_count
+
+    def counted_decide(f, **kwargs):
+        nonlocal base_calls
+        base_calls += 1
+        return decide(f, **kwargs)
+
+    def counted_count(formula, budget, oracle):
+        def query(f):
+            nonlocal queries
+            queries += 1
+            return oracle(f)
+
+        return count(formula, budget, query)
+
+    monkeypatch.setattr(satcount, "decide_pi_ks", counted_decide)
+    monkeypatch.setattr(satcount, "sparse_count", counted_count)
+    f = CnfFormula(10, 1, tuple((v,) for v in range(1, 8)))  # 8 solutions
+    cfg = SatSolveConfig(brute_force_constant=0.0)
+    assert approx_count_cnf(f, 0.3, 0.3, RngStream(6), config=cfg) == 8
+    assert queries > 0
+    assert base_calls == queries
+
+
 # -- DIMACS ------------------------------------------------------------------
 
 
@@ -443,3 +497,65 @@ def test_dimacs_round_trip_augmented():
 def test_dimacs_rejects_missing_header():
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")
+
+
+def test_dimacs_rejects_xor_line_without_rhs():
+    with pytest.raises(ValueError):
+        parse_dimacs("p cnf 3 1\n1 2 0\nx\n")
+
+
+def test_dimacs_rejects_clause_count_mismatch():
+    with pytest.raises(ValueError):
+        parse_dimacs("p cnf 3 5\n1 2 0\n")
+
+
+@st.composite
+def augmented_formulas(draw):
+    n = draw(st.integers(1, 8))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=6))
+    width = max([len(c) for c in clauses] + [1])
+    rows = []
+    for _ in range(draw(st.integers(0, n))):
+        support = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+        coeffs = draw(st.lists(st.integers(0, 1), min_size=len(support),
+                               max_size=len(support)))
+        rows.append(XorRow(tuple(support), tuple(coeffs), draw(st.integers(0, 1))))
+    system = SparseXorSystem(n, n, tuple(rows))
+    return AugmentedFormula(cnf=CnfFormula(n, width, tuple(clauses)), xors=system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_formulas())
+def test_dimacs_round_trip_property(f):
+    g = parse_dimacs(write_dimacs(f))
+    assert g.n_vars == f.n_vars
+    assert g.cnf.clauses == f.cnf.clauses
+    assert g.xors.rows == f.xors.rows
+    assert brute_force_count(g) == brute_force_count(f)
+
+
+def reference_count(f):
+    """Solutions of an augmented formula by a direct loop over all assignments."""
+    total = 0
+    for code in range(1 << f.n_vars):
+        x = {v: code >> (v - 1) & 1 for v in range(1, f.n_vars + 1)}
+        total += (
+            all(x[v] == b for v, b in f.partial_assignment.items())
+            and all(any(x[abs(l)] == (l > 0) for l in c) for c in f.cnf.clauses)
+            and all(
+                sum(c * x[v] for v, c in zip(r.support, r.coeffs)) % 2 == r.rhs
+                for r in f.xors.rows
+            )
+        )
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_formulas(), st.data())
+def test_mask_evaluation_matches_a_direct_loop(f, data):
+    for v in data.draw(st.lists(st.integers(1, f.n_vars), unique=True)):
+        f = f.assign(v, data.draw(st.integers(0, 1)))
+    exact = reference_count(f)
+    assert brute_force_count(f) == exact
+    assert decide_pi_ks(f) == (exact > 0)
