@@ -18,8 +18,6 @@ from .rng import RngStream, derive_stream
 from .oracles import (
     AmplifiedDecider,
     BipartiteOracles,
-    Side,
-    VertexId,
     amplify,
     amplified_independence,
     edge_set_oracles,

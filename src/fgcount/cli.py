@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Exit codes: 0 on success, 2 when no estimate was produced (including an
-instance beyond an enumeration cap), 3 when the estimator exceeded its
-iteration budget, 1 on usage or I/O errors.  The
-environment variable FGCOUNT_SEED, when set, overrides any --seed flag.
+Exit codes: 0 on success, 2 when no estimate was produced or a count the
+command needs is beyond an enumeration cap (``CAP_EXCEEDED: <reason>``: the
+estimate itself, ``--exact``'s exact count after the estimate, or
+``bench``'s exact reference before any trial), 3 when the estimator
+exceeded its iteration budget, 1 on usage or I/O errors.  The environment
+variable FGCOUNT_SEED, when set, overrides any --seed flag.
 """
 
 from __future__ import annotations
@@ -114,7 +116,11 @@ def _count_command(counter, instance_file, eps, seed, exact_flag, expected_kind)
         sys.exit(EXIT_NO_ESTIMATE)
     click.echo(str(value))
     if exact_flag:
-        click.echo(f"exact {exact_count(inst)}")
+        try:
+            click.echo(f"exact {exact_count(inst)}")
+        except CapExceeded as exc:
+            click.echo(f"CAP_EXCEEDED: {exc}")
+            sys.exit(EXIT_NO_ESTIMATE)
     sys.exit(EXIT_OK)
 
 
@@ -188,7 +194,11 @@ def bench(config_file, out):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
-    records = run_experiment(cfg)
+    try:
+        records = run_experiment(cfg)
+    except CapExceeded as exc:  # the exact reference count, before any trial
+        click.echo(f"CAP_EXCEEDED: {exc}")
+        sys.exit(EXIT_NO_ESTIMATE)
     text = records_to_csv(records) + summary_line(records, cfg.eps) + "\n"
     if out:
         Path(out).write_text(text)

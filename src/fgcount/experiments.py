@@ -19,18 +19,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .edgecount import (
-    DEFAULT_CONFIG,
-    EdgeCountConfig,
-    EdgeCountStats,
-    IterationBudgetExceeded,
-    edge_count,
-)
+from .edgecount import DEFAULT_CONFIG, EdgeCountConfig, IterationBudgetExceeded
 from .exact import exact_count
 from .generators import GeneratorSpec, generate
 from .instances import Problem, ProblemInstance, load_instance, problem_kind
 from .oracles import matrix_oracles
-from .reductions import CountStats, count_3sum, count_nwt, count_ov
+from .reductions import CountStats, _run_edge_count, count_3sum, count_nwt, count_ov
 from .rng import RngStream, derive_stream
 from .satcount import CapExceeded, CnfFormula, approx_count_cnf
 
@@ -160,14 +154,7 @@ def bipartite_counter(
     """Counting callback for an explicit synthetic bipartite graph."""
 
     def run(rng: RngStream, stats: CountStats) -> Optional[int]:
-        oracles = matrix_oracles(adjacency)
-        ec_stats = EdgeCountStats()
-        value = edge_count(oracles, eps, rng, config=config, stats=ec_stats)
-        stats.layers += 1
-        stats.independence_calls += oracles.independence_calls
-        stats.adjacency_calls += oracles.adjacency_calls
-        stats.edgecount.append(ec_stats)
-        return value
+        return _run_edge_count(matrix_oracles(adjacency), eps, rng, config, 0.0, stats)
 
     return run
 

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Side",
-    "VertexId",
     "BipartiteOracles",
     "matrix_oracles",
     "edge_set_oracles",
@@ -35,23 +32,6 @@ __all__ = [
     "amplified_independence",
     "AMPLIFY_CONSTANT",
 ]
-
-
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class VertexId:
-    """One endpoint of the hidden graph: a side and an index within it."""
-
-    side: Side
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"vertex index must be nonnegative, got {self.index}")
 
 
 def _as_index_array(indices) -> np.ndarray:
@@ -286,62 +266,20 @@ def amplify(
     return AmplifiedDecider(base=base, repetitions=r, target_failure=target_failure)
 
 
-class _AmplifiedOracles:
-    """Oracle view with a majority-amplified independence predicate.
-
-    Adjacency queries pass straight through to the inner object; independence
-    queries fan out into an odd number of inner queries.  Counters are read
-    from the inner object, so the recorded independence count is the number
-    of raw decider invocations.
-    """
-
-    def __init__(self, inner: BipartiteOracles, decider: AmplifiedDecider) -> None:
-        self.inner = inner
-        self.decider = decider
-
-    @property
-    def left_size(self) -> int:
-        return self.inner.left_size
-
-    @property
-    def right_size(self) -> int:
-        return self.inner.right_size
-
-    @property
-    def total_vertices(self) -> int:
-        return self.inner.total_vertices
-
-    @property
-    def independence_calls(self) -> int:
-        return self.inner.independence_calls
-
-    @property
-    def adjacency_calls(self) -> int:
-        return self.inner.adjacency_calls
-
-    def independence_query(self, left, right) -> bool:
-        return self.decider(left, right)
-
-    def adjacency_query(self, u: int, v: int) -> bool:
-        return self.inner.adjacency_query(u, v)
-
-    def adjacency_row(self, u: int, right) -> np.ndarray:
-        return self.inner.adjacency_row(u, right)
-
-    def adjacency_block(self, left, right) -> np.ndarray:
-        return self.inner.adjacency_block(left, right)
-
-    def count_edges_incident(self, left, right) -> int:
-        return self.inner.count_edges_incident(left, right)
-
-
 def amplified_independence(
     oracles: BipartiteOracles, target_failure: float, *, constant: float = AMPLIFY_CONSTANT
-) -> _AmplifiedOracles:
-    """View of ``oracles`` whose independence answers are majority-amplified."""
-    decider = amplify(
-        lambda left, right: oracles.independence_query(left, right),
-        target_failure,
-        constant=constant,
+) -> BipartiteOracles:
+    """View of ``oracles`` whose independence answers are majority-amplified.
+
+    Each independence query fans out into an odd number of queries on
+    ``oracles``, and adjacency queries pass straight through to it, so its
+    counters record the raw decider invocations.
+    """
+    return BipartiteOracles(
+        oracles.left_size,
+        oracles.right_size,
+        amplify(oracles.independence_query, target_failure, constant=constant),
+        oracles.adjacency_query,
+        adjacency_row=oracles.adjacency_row,
+        adjacency_block=oracles.adjacency_block,
     )
-    return _AmplifiedOracles(oracles, decider)

@@ -4,22 +4,30 @@ Each problem is cast as a hidden bipartite graph whose edges are the
 witnesses being counted:
 
 * 3SUM: left = entries of A, right = entries of B, edge iff a + b occurs
-  in C (adjacency = binary search in a pre-sorted copy of C; independence
-  = running a 3SUM decider on the sub-lists).
+  in C.
 * OV:   left = vectors of A, right = vectors of B, edge iff orthogonal.
 * NWT:  left = vertices of part A, right = edges inside B ∪ C, edge iff
   the vertex and edge close a negative-weight triangle.
 
-The baseline deciders here are the textbook ones (sorted-list scan,
-pairwise bit tests, full triangle scan); they stand in for whatever
-decision backend a deployment would plug in.  All deciders are
-deterministic, so the failure-amplification wrapper is engaged only when a
-caller declares an injected decision procedure to be randomized.
+Each problem's witness test is written once, as a block kernel over data
+the instance already holds: the packed bit words for OV, a sorted copy of
+C for 3SUM, the adjacency and weight matrices plus the B–C edge list for
+NWT.  The baseline decider (is there a witness?), the exact counter (how
+many?), the adjacency queries and the built-in independence query all
+evaluate that kernel, in blocks of at most 256 left rows and about 2^19
+pairs.  With the built-in decider an independence query is therefore
+answered on the parent's data, without building a sub-instance.  A
+caller-supplied ``decision=`` procedure keeps the paper's contract: it
+receives the materialized sub-instance and decides whether it has a
+witness.  The built-in deciders are deterministic, so the
+failure-amplification wrapper is engaged only when a caller declares an
+injected decision procedure to be randomized.
 
 Counting conventions: duplicate values count with multiplicity everywhere.
-For 3SUM that means tuples, not distinct sums; duplicates in C are handled
-by counting the pair graph once per multiplicity layer (C restricted to
-values occurring at least j times), which sums exactly to the tuple count.
+For 3SUM that means tuples, not distinct sums: the exact counter weighs
+each pair by the multiplicity of a + b in C, and the estimator counts the
+pair graph once per multiplicity layer (C restricted to values occurring at
+least j times), which sums exactly to the tuple count.
 """
 
 from __future__ import annotations
@@ -231,82 +239,122 @@ class CountStats:
 
 
 # --------------------------------------------------------------------------
+# Witness kernels.
+# --------------------------------------------------------------------------
+
+# A kernel block covers at most _CHUNK left rows and, for wide right sides,
+# about _BLOCK_PAIRS pairs: together they bound every temporary a block makes.
+_CHUNK = 256
+_BLOCK_PAIRS = 1 << 19
+
+
+@dataclass(frozen=True)
+class _Witnesses:
+    """One problem's hidden bipartite graph, evaluated block by block.
+
+    ``kernel(left, right)`` maps left and right index arrays to the
+    block of witness counts of those pairs: 0/1 for OV and NWT, the
+    multiplicity of a + b in C for 3SUM.  It runs on data the instance
+    already holds, so the decider, the exact counter, adjacency and the
+    built-in independence query are all this one test.
+    """
+
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    left_size: int
+    right_size: int
+
+    def _blocks(self, left: np.ndarray, right: np.ndarray):
+        rows = max(1, min(_CHUNK, _BLOCK_PAIRS // max(right.size, 1)))
+        for start in range(0, left.size, rows):
+            yield start, self.kernel(left[start : start + rows], right)
+
+    def _all(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.arange(self.left_size), np.arange(self.right_size)
+
+    def has_witness(self, left: np.ndarray, right: np.ndarray) -> bool:
+        """True iff some pair in left x right is a witness (first hit exits)."""
+        return any(block.any() for _, block in self._blocks(left, right))
+
+    def decide(self) -> bool:
+        return self.has_witness(*self._all())
+
+    def count(self) -> int:
+        return sum(int(block.sum()) for _, block in self._blocks(*self._all()))
+
+    def oracles(
+        self, independence: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
+    ) -> BipartiteOracles:
+        """Oracle pair with kernel adjacency; independence defaults to the kernel."""
+        if independence is None:
+            def independence(left: np.ndarray, right: np.ndarray) -> bool:
+                return not self.has_witness(left, right)
+
+        def adjacency(u: int, v: int) -> bool:
+            return bool(self.kernel(np.array([u]), np.array([v]))[0, 0])
+
+        def adjacency_row(u: int, right: np.ndarray) -> np.ndarray:
+            return self.kernel(np.array([u]), right)[0]
+
+        def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            out = np.empty((left.size, right.size), dtype=bool)
+            for start, block in self._blocks(left, right):
+                out[start : start + len(block)] = block
+            return out
+
+        return BipartiteOracles(
+            self.left_size,
+            self.right_size,
+            independence,
+            adjacency,
+            adjacency_row=adjacency_row,
+            adjacency_block=adjacency_block,
+        )
+
+
+# --------------------------------------------------------------------------
 # 3SUM.
 # --------------------------------------------------------------------------
 
 
-def decide_3sum(inst: ThreeSumInstance) -> bool:
-    """True iff some (a, b, c) in A x B x C has a + b = c.
+def _three_sum_witnesses(inst: ThreeSumInstance) -> _Witnesses:
+    """Left = A, right = B; a pair's count is the multiplicity of a + b in C."""
+    values, mult = np.unique(inst.c, return_counts=True)
 
-    Sorts C once and scans A, binary-searching each a + B row; rows are
-    processed one at a time so a hit exits early.
-    """
-    if inst.a.size == 0 or inst.b.size == 0 or inst.c.size == 0:
-        return False
-    c_sorted = np.sort(inst.c)
-    for a in inst.a:
-        sums = a + inst.b
-        idx = np.searchsorted(c_sorted, sums)
-        idx[idx == c_sorted.size] = c_sorted.size - 1
-        if (c_sorted[idx] == sums).any():
-            return True
-    return False
+    def multiplicity(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        sums = inst.a[left][:, None] + inst.b[right][None, :]
+        if values.size == 0:
+            return np.zeros(sums.shape, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(values, sums), values.size - 1)
+        return np.where(values[idx] == sums, mult[idx], 0)
+
+    return _Witnesses(multiplicity, int(inst.a.size), int(inst.b.size))
+
+
+def decide_3sum(inst: ThreeSumInstance) -> bool:
+    """True iff some (a, b, c) in A x B x C has a + b = c (sorted-C search)."""
+    return _three_sum_witnesses(inst).decide()
 
 
 def count_3sum_exact(inst: ThreeSumInstance) -> int:
-    """Exact tuple count via the sorted-C scan (multiplicity included)."""
-    if inst.a.size == 0 or inst.b.size == 0 or inst.c.size == 0:
-        return 0
-    c_sorted = np.sort(inst.c)
-    total = 0
-    for a in inst.a:
-        sums = a + inst.b
-        lo = np.searchsorted(c_sorted, sums, side="left")
-        hi = np.searchsorted(c_sorted, sums, side="right")
-        total += int((hi - lo).sum())
-    return total
+    """Exact tuple count via the sorted-C search (multiplicity included)."""
+    return _three_sum_witnesses(inst).count()
 
 
 def three_sum_oracles(
     inst: ThreeSumInstance,
     decision: Optional[Callable[[ThreeSumInstance], bool]] = None,
 ) -> BipartiteOracles:
-    """Oracle pair for the pair graph (left = A, right = B, edge iff a+b ∈ C)."""
-    decide = decision if decision is not None else decide_3sum
-    c_sorted = np.sort(inst.c)
+    """Oracle pair for the pair graph (left = A, right = B, edge iff a+b ∈ C).
 
-    def member(sums: np.ndarray) -> np.ndarray:
-        if c_sorted.size == 0:
-            return np.zeros(sums.shape, dtype=bool)
-        idx = np.searchsorted(c_sorted, sums)
-        idx[idx == c_sorted.size] = c_sorted.size - 1
-        return c_sorted[idx] == sums
+    A custom ``decision`` receives the sub-instance (A[left], B[right], C).
+    """
+    independence = None
+    if decision is not None:
+        def independence(left: np.ndarray, right: np.ndarray) -> bool:
+            sub = ThreeSumInstance(inst.a[left], inst.b[right], inst.c, inst.n_bound)
+            return not decision(sub)
 
-    def independence(left: np.ndarray, right: np.ndarray) -> bool:
-        sub = ThreeSumInstance(inst.a[left], inst.b[right], inst.c, inst.n_bound)
-        return not decide(sub)
-
-    def adjacency(u: int, v: int) -> bool:
-        return bool(member(np.asarray([inst.a[u] + inst.b[v]]))[0])
-
-    def adjacency_row(u: int, right: np.ndarray) -> np.ndarray:
-        return member(inst.a[u] + inst.b[right])
-
-    def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        out = np.empty((left.size, right.size), dtype=bool)
-        bsel = inst.b[right]
-        for i, u in enumerate(left):
-            out[i] = member(inst.a[u] + bsel)
-        return out
-
-    return BipartiteOracles(
-        int(inst.a.size),
-        int(inst.b.size),
-        independence,
-        adjacency,
-        adjacency_row=adjacency_row,
-        adjacency_block=adjacency_block,
-    )
+    return _three_sum_witnesses(inst).oracles(independence)
 
 
 def count_3sum(
@@ -353,70 +401,40 @@ def count_3sum(
 # --------------------------------------------------------------------------
 
 
+def _ov_witnesses(inst: OvInstance) -> _Witnesses:
+    """Left = A, right = B; a pair is a witness iff its packed words share no bit."""
+    pa, pb = inst.packed
+
+    def orthogonal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return ((pa[left][:, None, :] & pb[right][None, :, :]) == 0).all(axis=2)
+
+    return _Witnesses(orthogonal, int(pa.shape[0]), int(pb.shape[0]))
+
+
 def decide_ov(inst: OvInstance) -> bool:
     """True iff some pair (a, b) in A x B is orthogonal (packed bit tests)."""
-    if inst.a.shape[0] == 0 or inst.b.shape[0] == 0:
-        return False
-    pa, pb = inst.packed
-    return _any_orthogonal(pa, pb)
-
-
-def _any_orthogonal(pa: np.ndarray, pb: np.ndarray) -> bool:
-    for start in range(0, pa.shape[0], 128):
-        chunk = pa[start : start + 128]
-        orth = ((chunk[:, None, :] & pb[None, :, :]) == 0).all(axis=2)
-        if orth.any():
-            return True
-    return False
+    return _ov_witnesses(inst).decide()
 
 
 def count_ov_exact(inst: OvInstance) -> int:
     """Exact orthogonal-pair count (packed, row-chunked)."""
-    if inst.a.shape[0] == 0 or inst.b.shape[0] == 0:
-        return 0
-    pa, pb = inst.packed
-    total = 0
-    for start in range(0, pa.shape[0], 256):
-        chunk = pa[start : start + 256]
-        orth = ((chunk[:, None, :] & pb[None, :, :]) == 0).all(axis=2)
-        total += int(orth.sum())
-    return total
+    return _ov_witnesses(inst).count()
 
 
 def ov_oracles(
     inst: OvInstance,
     decision: Optional[Callable[[OvInstance], bool]] = None,
 ) -> BipartiteOracles:
-    """Oracle pair for the orthogonality graph (left = A, right = B)."""
-    decide = decision if decision is not None else decide_ov
-    pa, pb = inst.packed
+    """Oracle pair for the orthogonality graph (left = A, right = B).
 
-    def independence(left: np.ndarray, right: np.ndarray) -> bool:
-        sub = OvInstance(inst.a[left], inst.b[right])
-        return not decide(sub)
+    A custom ``decision`` receives the sub-instance (A[left], B[right]).
+    """
+    independence = None
+    if decision is not None:
+        def independence(left: np.ndarray, right: np.ndarray) -> bool:
+            return not decision(OvInstance(inst.a[left], inst.b[right]))
 
-    def adjacency(u: int, v: int) -> bool:
-        return bool(((pa[u] & pb[v]) == 0).all())
-
-    def adjacency_row(u: int, right: np.ndarray) -> np.ndarray:
-        return ((pa[u] & pb[right]) == 0).all(axis=1)
-
-    def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        out = np.empty((left.size, right.size), dtype=bool)
-        sel = pb[right]
-        for start in range(0, left.size, 256):
-            chunk = pa[left[start : start + 256]]
-            out[start : start + 256] = ((chunk[:, None, :] & sel[None, :, :]) == 0).all(axis=2)
-        return out
-
-    return BipartiteOracles(
-        int(inst.a.shape[0]),
-        int(inst.b.shape[0]),
-        independence,
-        adjacency,
-        adjacency_row=adjacency_row,
-        adjacency_block=adjacency_block,
-    )
+    return _ov_witnesses(inst).oracles(independence)
 
 
 def count_ov(
@@ -445,35 +463,30 @@ def count_ov(
 # --------------------------------------------------------------------------
 
 
-def _triangle_negative_rows(
-    inst: NwtInstance, a: int, vb: np.ndarray, vc: np.ndarray
-) -> np.ndarray:
-    """For vertex a and BC-edge endpoints (vb, vc): which close a negative triangle."""
-    present = inst.adjacency[a, vb] & inst.adjacency[a, vc]
-    sums = inst.weights[a, vb] + inst.weights[vb, vc] + inst.weights[vc, a]
-    return present & (sums < 0)
+def _nwt_witnesses(inst: NwtInstance) -> _Witnesses:
+    """Left = part A, right = edges inside B ∪ C (in ``bc_edges`` order).
+
+    A vertex and an edge are a witness iff they close a negative triangle.
+    """
+    vb, vc = inst.bc_edges()
+    adj, w = inst.adjacency, inst.weights
+
+    def negative_triangle(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        a = inst.part_a[left][:, None]
+        b, c = vb[right], vc[right]
+        return adj[a, b] & adj[a, c] & (w[a, b] + w[b, c] + w[c, a] < 0)
+
+    return _Witnesses(negative_triangle, int(inst.part_a.size), int(vb.size))
 
 
 def decide_nwt(inst: NwtInstance) -> bool:
     """True iff some triangle (a, b, c) across the parts has negative weight."""
-    vb, vc = inst.bc_edges()
-    if vb.size == 0:
-        return False
-    for a in inst.part_a:
-        if _triangle_negative_rows(inst, int(a), vb, vc).any():
-            return True
-    return False
+    return _nwt_witnesses(inst).decide()
 
 
 def count_nwt_exact(inst: NwtInstance) -> int:
     """Exact negative-triangle count (full scan over A x BC-edges)."""
-    vb, vc = inst.bc_edges()
-    if vb.size == 0:
-        return 0
-    total = 0
-    for a in inst.part_a:
-        total += int(_triangle_negative_rows(inst, int(a), vb, vc).sum())
-    return total
+    return _nwt_witnesses(inst).count()
 
 
 def sub_nwt_instance(
@@ -509,53 +522,15 @@ def nwt_oracles(
 ) -> BipartiteOracles:
     """Oracle pair: left = part A, right = edges inside B ∪ C.
 
-    With the default decider, independence queries are answered by the
-    equivalent direct scan over the selected (vertex, edge) pairs — the
-    same predicate ``decide_nwt`` computes on the materialized
-    sub-instance, without paying for the materialization.  A custom
-    ``decision`` procedure receives the materialized sub-instance.
+    A custom ``decision`` receives the sub-instance ``sub_nwt_instance``
+    materializes.
     """
-    vb, vc = inst.bc_edges()
-
-    if decision is None:
-        def independence(left: np.ndarray, right: np.ndarray) -> bool:
-            bsel, csel = vb[right], vc[right]
-            for a in inst.part_a[left]:
-                present = inst.adjacency[a, bsel] & inst.adjacency[a, csel]
-                sums = inst.weights[a, bsel] + inst.weights[bsel, csel] + inst.weights[csel, a]
-                if (present & (sums < 0)).any():
-                    return False
-            return True
-    else:
+    independence = None
+    if decision is not None:
         def independence(left: np.ndarray, right: np.ndarray) -> bool:
             return not decision(sub_nwt_instance(inst, left, right))
 
-    def adjacency(u: int, v: int) -> bool:
-        a = int(inst.part_a[u])
-        return bool(_triangle_negative_rows(inst, a, vb[v : v + 1], vc[v : v + 1])[0])
-
-    def adjacency_row(u: int, right: np.ndarray) -> np.ndarray:
-        a = int(inst.part_a[u])
-        return _triangle_negative_rows(inst, a, vb[right], vc[right])
-
-    def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        bsel, csel = vb[right], vc[right]
-        out = np.empty((left.size, right.size), dtype=bool)
-        for i, u in enumerate(left):
-            a = int(inst.part_a[u])
-            present = inst.adjacency[a, bsel] & inst.adjacency[a, csel]
-            sums = inst.weights[a, bsel] + inst.weights[bsel, csel] + inst.weights[csel, a]
-            out[i] = present & (sums < 0)
-        return out
-
-    return BipartiteOracles(
-        int(inst.part_a.size),
-        int(vb.size),
-        independence,
-        adjacency,
-        adjacency_row=adjacency_row,
-        adjacency_block=adjacency_block,
-    )
+    return _nwt_witnesses(inst).oracles(independence)
 
 
 def count_nwt(

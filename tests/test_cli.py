@@ -125,3 +125,29 @@ def test_malformed_xor_line_is_a_usage_error(runner, tmp_path):
     r = runner.invoke(main, ["count-cnf", str(path)])
     assert r.exit_code == EXIT_USAGE
     assert r.output.startswith("error: ")
+
+
+def test_count_cnf_exact_beyond_the_exact_cap_is_cap_exceeded(runner, tmp_path):
+    # 25 variables: the estimate enumerates (cap 26), the exact count does not (cap 24)
+    path = tmp_path / "f.cnf"
+    r = runner.invoke(main, ["gen", "--problem", "cnf", "--n", "25",
+                             "--clauses", "2", "--seed", "4", "--out", str(path)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["count-cnf", str(path), "--exact"])
+    assert r.exit_code == EXIT_NO_ESTIMATE
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    estimate, cap_line = r.output.strip().splitlines()
+    assert int(estimate) > 0
+    assert cap_line.startswith("CAP_EXCEEDED: ")
+
+
+def test_bench_exact_reference_beyond_the_cap_is_cap_exceeded(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "eps": 0.3, "trials": 2, "master_seed": 5,
+        "generator": {"problem": "cnf", "n": 30, "clause_count": 120, "seed": 4},
+    }))
+    r = runner.invoke(main, ["bench", str(cfg)])
+    assert r.exit_code == EXIT_NO_ESTIMATE
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output.startswith("CAP_EXCEEDED: ")

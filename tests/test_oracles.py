@@ -5,19 +5,12 @@ import pytest
 
 from fgcount.oracles import (
     BipartiteOracles,
-    VertexId,
-    Side,
     amplified_independence,
     amplify,
     edge_set_oracles,
     matrix_oracles,
     repetitions_for,
 )
-
-
-def test_vertex_id_rejects_negative_index():
-    with pytest.raises(ValueError):
-        VertexId(Side.LEFT, -1)
 
 
 def test_independence_matches_edge_enumeration_small_graphs():
@@ -171,12 +164,16 @@ def test_amplified_independence_wrapper_counts_on_inner():
     truth = inner.count_edges_incident(lsel, rsel) == 0
     before_adj = inner.adjacency_calls
     assert wrapped.independence_query(lsel, rsel) == truth
-    # one outer query fans out into an odd number of inner queries
-    assert wrapped.independence_calls == wrapped.decider.repetitions
-    assert wrapped.independence_calls % 2 == 1
-    # adjacency passes straight through
+    # one outer query fans out into an odd number r of raw inner queries
+    r = repetitions_for(0.05)
+    assert r > 1 and r % 2 == 1
+    assert inner.independence_calls == r
+    # adjacency passes straight through to the inner counters
     wrapped.adjacency_query(0, 0)
-    assert inner.adjacency_calls == before_adj + 1
+    wrapped.adjacency_row(1, [0, 1, 2])
+    block = wrapped.adjacency_block(lsel, rsel)
+    np.testing.assert_array_equal(block, adj[:5, :5])
+    assert inner.adjacency_calls == before_adj + 1 + 3 + 25
 
 
 def test_amplified_wrapper_fixes_a_noisy_decider():

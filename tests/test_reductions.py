@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fgcount import reductions
 from fgcount.oracles import repetitions_for
 from fgcount.reductions import (
     CountStats,
@@ -31,23 +32,53 @@ from fgcount.reductions import (
 from fgcount.rng import RngStream
 
 
-def cubic_3sum_count(inst):
-    total = 0
-    for a in inst.a:
-        for b in inst.b:
+def three_sum_pairs(inst):
+    """Number of c in C with a + b = c, for every pair (a, b), by a plain loop."""
+    out = np.zeros((inst.a.size, inst.b.size), dtype=np.int64)
+    for i, a in enumerate(inst.a):
+        for j, b in enumerate(inst.b):
             for c in inst.c:
                 if a + b == c:
-                    total += 1
-    return total
+                    out[i, j] += 1
+    return out
+
+
+def cubic_3sum_count(inst):
+    return int(three_sum_pairs(inst).sum())
+
+
+def ov_pairs(inst):
+    """Orthogonality of every pair (u, v) in A x B, by a plain loop."""
+    out = np.zeros((inst.a.shape[0], inst.b.shape[0]), dtype=bool)
+    for i, u in enumerate(inst.a):
+        for j, v in enumerate(inst.b):
+            out[i, j] = all(int(x) * int(y) == 0 for x, y in zip(u, v))
+    return out
 
 
 def naive_ov_count(inst):
-    total = 0
-    for u in inst.a:
-        for v in inst.b:
-            if all(int(x) * int(y) == 0 for x, y in zip(u, v)):
-                total += 1
-    return total
+    return int(ov_pairs(inst).sum())
+
+
+def negative_triangles(inst):
+    """Every negative triangle (a, b, c) across the parts, by a triple loop."""
+    adj, w = inst.adjacency, inst.weights
+    return {
+        (int(a), int(b), int(c))
+        for a in inst.part_a
+        for b in inst.part_b
+        for c in inst.part_c
+        if adj[a, b] and adj[b, c] and adj[c, a] and w[a, b] + w[b, c] + w[c, a] < 0
+    }
+
+
+def nwt_pairs(inst):
+    """Which (A-vertex, B-C edge) pairs close a negative triangle, by the triple loop."""
+    triangles = negative_triangles(inst)
+    vb, vc = inst.bc_edges()
+    return np.array(
+        [[(int(a), int(b), int(c)) in triangles for b, c in zip(vb, vc)] for a in inst.part_a]
+    ).reshape(inst.part_a.size, vb.size)
 
 
 def random_nwt(gen, na, nb, nc, density=0.6, w=50):
@@ -106,12 +137,16 @@ def test_three_sum_oracles_consistency():
     )
     oracles = three_sum_oracles(inst)
     assert oracles.independence_query([], []) is True
-    edges = oracles.adjacency_block(np.arange(67), np.arange(67))
+    edges = three_sum_pairs(inst) > 0
+    assert edges.any() and not edges.all()
+    np.testing.assert_array_equal(oracles.adjacency_block(np.arange(67), np.arange(67)), edges)
     for _ in range(500):
         lsel = np.flatnonzero(gen.random(67) < 0.3)
         rsel = np.flatnonzero(gen.random(67) < 0.3)
         inside = edges[np.ix_(lsel, rsel)].any()
         assert oracles.independence_query(lsel, rsel) == (not inside)
+        sub = ThreeSumInstance(inst.a[lsel], inst.b[rsel], inst.c)
+        assert decide_3sum(sub) == inside
 
 
 def test_three_sum_adjacency_example():
@@ -210,13 +245,15 @@ def test_ov_oracles_consistency():
         (gen.random((40, 24)) < 0.2).astype(np.uint8),
     )
     oracles = ov_oracles(inst)
-    edges = oracles.adjacency_block(np.arange(40), np.arange(40))
+    edges = ov_pairs(inst)
+    assert edges.any() and not edges.all()
+    np.testing.assert_array_equal(oracles.adjacency_block(np.arange(40), np.arange(40)), edges)
     for _ in range(200):
         lsel = np.flatnonzero(gen.random(40) < 0.3)
         rsel = np.flatnonzero(gen.random(40) < 0.3)
-        assert oracles.independence_query(lsel, rsel) == (
-            not edges[np.ix_(lsel, rsel)].any()
-        )
+        inside = edges[np.ix_(lsel, rsel)].any()
+        assert oracles.independence_query(lsel, rsel) == (not inside)
+        assert decide_ov(OvInstance(inst.a[lsel], inst.b[rsel])) == inside
 
 
 def test_count_ov_trivial_cases():
@@ -258,35 +295,27 @@ def test_count_nwt_exact_matches_enumeration():
     gen = np.random.default_rng(220)
     for _ in range(20):
         inst = random_nwt(gen, 6, 5, 7)
-        brute = 0
-        for a in inst.part_a:
-            for b in inst.part_b:
-                for c in inst.part_c:
-                    if (
-                        inst.adjacency[a, b]
-                        and inst.adjacency[b, c]
-                        and inst.adjacency[c, a]
-                        and inst.weights[a, b] + inst.weights[b, c] + inst.weights[c, a] < 0
-                    ):
-                        brute += 1
-        assert count_nwt_exact(inst) == brute
+        assert count_nwt_exact(inst) == len(negative_triangles(inst))
 
 
 def test_nwt_oracles_consistency_and_closure():
     gen = np.random.default_rng(221)
-    inst = random_nwt(gen, 8, 7, 7)
-    oracles = nwt_oracles(inst)
-    vb, vc = inst.bc_edges()
-    edges = oracles.adjacency_block(np.arange(inst.part_a.size), np.arange(vb.size))
-    for _ in range(150):
-        lsel = np.flatnonzero(gen.random(inst.part_a.size) < 0.4)
-        rsel = np.flatnonzero(gen.random(vb.size) < 0.4)
-        expected = not edges[np.ix_(lsel, rsel)].any()
-        assert oracles.independence_query(lsel, rsel) == expected
-        # the materialized sub-instance is a valid instance with the same answer
-        sub = sub_nwt_instance(inst, lsel, rsel)
-        assert isinstance(sub, NwtInstance)
-        assert decide_nwt(sub) == (not expected)
+    for w in (50, 2):  # at w = 2, zero-weight (not negative) triangles are common
+        inst = random_nwt(gen, 8, 7, 7, w=w)
+        oracles = nwt_oracles(inst)
+        nl, nr = oracles.left_size, oracles.right_size
+        edges = nwt_pairs(inst)
+        assert edges.any() and not edges.all()
+        np.testing.assert_array_equal(oracles.adjacency_block(np.arange(nl), np.arange(nr)), edges)
+        for _ in range(150):
+            lsel = np.flatnonzero(gen.random(nl) < 0.4)
+            rsel = np.flatnonzero(gen.random(nr) < 0.4)
+            expected = not edges[np.ix_(lsel, rsel)].any()
+            assert oracles.independence_query(lsel, rsel) == expected
+            # the materialized sub-instance is a valid instance with the same answer
+            sub = sub_nwt_instance(inst, lsel, rsel)
+            assert isinstance(sub, NwtInstance)
+            assert decide_nwt(sub) == (not expected)
 
 
 def test_nwt_custom_decision_receives_subinstance():
@@ -312,6 +341,42 @@ def test_count_nwt_trivial_and_exact_fallback():
     inst = random_nwt(gen, 6, 6, 6)
     eps = 17.9**-3  # just below n^-3 = 18^-3
     assert count_nwt(inst, eps, RngStream(3)) == count_nwt_exact(inst)
+
+
+# -- all three kernels -------------------------------------------------------
+
+
+def test_kernels_agree_with_loops_across_block_boundaries(monkeypatch):
+    # Blocks of 5 left rows: every derived query crosses block boundaries.
+    monkeypatch.setattr(reductions, "_CHUNK", 5)
+    gen = np.random.default_rng(224)
+    ts = ThreeSumInstance(
+        gen.integers(-20, 21, size=23), gen.integers(-20, 21, size=9),
+        gen.integers(-20, 21, size=12),
+    )
+    ov = OvInstance(
+        (gen.random((23, 12)) < 0.3).astype(np.uint8),
+        (gen.random((9, 12)) < 0.3).astype(np.uint8),
+    )
+    nwt = random_nwt(gen, 23, 4, 4, w=5)
+    cases = [
+        (three_sum_pairs(ts), three_sum_oracles(ts), decide_3sum(ts), count_3sum_exact(ts)),
+        (ov_pairs(ov), ov_oracles(ov), decide_ov(ov), count_ov_exact(ov)),
+        (nwt_pairs(nwt), nwt_oracles(nwt), decide_nwt(nwt), count_nwt_exact(nwt)),
+    ]
+    for counts, oracles, decided, exact in cases:
+        edges = counts > 0
+        assert edges.any() and not edges.all()
+        assert decided is True and exact == int(counts.sum())
+        left, right = np.arange(oracles.left_size), np.arange(oracles.right_size)
+        np.testing.assert_array_equal(oracles.adjacency_block(left, right), edges)
+        for u in (0, 7, 22):
+            np.testing.assert_array_equal(oracles.adjacency_row(u, right), edges[u])
+        for _ in range(100):
+            lsel = np.flatnonzero(gen.random(oracles.left_size) < 0.5)
+            rsel = np.flatnonzero(gen.random(oracles.right_size) < 0.3)
+            inside = edges[np.ix_(lsel, rsel)].any()
+            assert oracles.independence_query(lsel, rsel) == (not inside)
 
 
 # -- APSP reduction ----------------------------------------------------------
