@@ -30,7 +30,6 @@ from .edgecount import (
     CoreParams,
     DegreeSketch,
     EdgeCountConfig,
-    EdgeCountState,
     EdgeCountStats,
     ExactCount,
     FindCoreOutcome,

@@ -17,6 +17,9 @@ bookkeeping is arbitrary precision.
 
 Independence queries are spent only on locating non-isolated left vertices,
 one binary search per vertex found; everything else is adjacency probing.
+Each binary search runs over the window of the random left ordering after
+the last vertex found, so no query repeats a vertex an earlier search has
+located or certified isolated.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "find_core",
     "halve",
     "EdgeCountConfig",
-    "EdgeCountState",
     "EdgeCountStats",
     "IterationBudgetExceeded",
     "edge_count",
@@ -182,7 +184,10 @@ def find_core(
     search over the independence oracle, peeling off non-isolated vertices
     one at a time until either fcc = ceil(24 ln n / xi) of them are found
     (they form a uniform sample Y of U_X) or the ordering is exhausted
-    (U_X itself was smaller than fcc, so again count exactly).  In the
+    (U_X itself was smaller than fcc, so again count exactly).  Each binary
+    search runs over the window after the last vertex found: everything
+    before it is located or certified isolated from X, so its queries are
+    order[lo:k] against X for the window start lo.  In the
     sampled case, the returned set S collects the right vertices adjacent
     to at least xi*fcc/2 members of Y; with probability >= 1 - 3/n it
     contains every vertex of degree >= xi |U_X| and nothing of degree
@@ -204,28 +209,19 @@ def find_core(
     order = gen.permutation(oracles.left_size).astype(np.int64)
     t = order.size
 
-    is_hit = np.zeros(t, dtype=bool)
-
-    def independent_prefix(k: int) -> bool:
-        prefix = order[:k]
-        live = prefix[~is_hit[:k]]
-        return oracles.independence_query(live, X)
-
+    # Every vertex before ``lo`` is located or certified isolated from X, so
+    # each search only queries the window order[lo:k]; order[lo:lo] is empty.
     hit_positions: list[int] = []
-    exhausted = t == 0
-    last_k = -1
-    while not exhausted and len(hit_positions) < params.fcc:
-        lo = last_k + 1  # independent by construction (previous hit removed)
-        if lo >= t:
-            exhausted = True
-            break
-        k = _gallop_max_true(independent_prefix, lo, t)
+    lo = 0
+    while len(hit_positions) < params.fcc and lo < t:
+        k = _gallop_max_true(
+            lambda k: oracles.independence_query(order[lo:k], X), lo, t
+        )
         if k == t:
-            exhausted = True
             break
         hit_positions.append(k)
-        is_hit[k] = True
-        last_k = k
+        lo = k + 1
+    exhausted = len(hit_positions) < params.fcc
 
     Y = order[np.asarray(hit_positions, dtype=np.int64)] if hit_positions else np.empty(0, dtype=np.int64)
 
@@ -261,25 +257,6 @@ class EdgeCountConfig:
 
 
 DEFAULT_CONFIG = EdgeCountConfig()
-
-
-@dataclass
-class EdgeCountState:
-    """The live state driving the estimator's loop.
-
-    ``accumulator`` is the exact mass of retired vertex sets, a sum of
-    terms 2^(t at removal) * eb(S); together with the surviving set the
-    running estimate is 2^halvings * eb(surviving) + accumulator.
-    """
-
-    surviving: np.ndarray  # right-side set X
-    halvings: int  # t
-    accumulator: int  # N (arbitrary precision)
-    zeta: float
-
-    def settle(self, exact_surviving_mass: int) -> int:
-        """Final value once eb(surviving) is known exactly."""
-        return (1 << self.halvings) * exact_surviving_mass + self.accumulator
 
 
 @dataclass
@@ -320,6 +297,12 @@ def edge_count(
     * an unbalancer S is priced exactly (eb(S) by adjacency probing) and a
       second core pass at accuracy zeta decides whether X\\S may be halved
       as well (fold 2^t * eb(S) into N either way).
+
+    The loop keeps three values: the surviving right set X, the number t
+    of halvings so far and the accumulator N, the exact mass of retired
+    sets (a sum of terms 2^(t at removal) * eb(S)).  At every loop head
+    2^t * eb(X) + N tracks e(G) up to the halving noise, and the run
+    returns that quantity once eb(X) is known exactly.
 
     The loop is cut off after ceil(7 ln n) + 1 iterations with
     ``IterationBudgetExceeded``; on a correct oracle that happens with
@@ -362,14 +345,14 @@ def edge_count(
     zeta = eps**2 / (config.zeta_constant * math.log(n) ** 3)
     xi_first = zeta / config.core_xi_divisor
 
-    state = EdgeCountState(surviving=all_right, halvings=0, accumulator=0, zeta=zeta)
+    X, t, N = all_right, 0, 0
     budget = math.ceil(config.iteration_factor * math.log(n)) + 1
 
     def finish(branch: str, event: str, exact_mass: int) -> int:
         st.exit_branch = branch
         st.record(event)
-        st.final_t, st.final_accumulator = state.halvings, state.accumulator
-        return state.settle(exact_mass)
+        st.final_t, st.final_accumulator = t, N
+        return (1 << t) * exact_mass + N
 
     for iteration in itertools.count(1):
         if iteration > budget:
@@ -377,7 +360,6 @@ def edge_count(
                 f"no exact outcome within {budget} iterations (n={n}, eps={eps})"
             )
         st.iterations = iteration
-        X = state.surviving
 
         if X.size == 0:
             return finish("empty", f"empty:{iteration}", 0)
@@ -388,8 +370,8 @@ def edge_count(
 
         S = outcome.vertices
         if classify_core(S, xi_first, factor=config.core_factor) is CoreClass.WITNESS:
-            state.surviving = hv(X, derive_stream(rng, f"halve-a-{iteration}"))
-            state.halvings += 1
+            X = hv(X, derive_stream(rng, f"halve-a-{iteration}"))
+            t += 1
             st.halvings += 1
             st.record(f"halve-a:{iteration}")
             continue
@@ -408,13 +390,13 @@ def edge_count(
             return finish("second-pass", f"exact-b:{iteration}", outcome2.count + eb_S)
 
         S2 = outcome2.vertices
-        state.accumulator += (1 << state.halvings) * eb_S
+        N += (1 << t) * eb_S
         st.removals += 1
         if classify_core(S2, zeta, factor=config.core_factor) is CoreClass.WITNESS:
-            state.surviving = hv(remaining, derive_stream(rng, f"halve-b-{iteration}"))
-            state.halvings += 1
+            X = hv(remaining, derive_stream(rng, f"halve-b-{iteration}"))
+            t += 1
             st.halvings += 1
             st.record(f"remove-halve:{iteration}")
         else:
-            state.surviving = remaining
+            X = remaining
             st.record(f"remove:{iteration}")

@@ -7,18 +7,21 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
 * an adjacency query: is a specific (left, right) pair an edge?
   (stands in for verifying one candidate witness).
 
-``BipartiteOracles`` bundles the two predicates with per-object query
-counters, plus vectorized row/block adjacency entry points (each probed pair
-still counts as one adjacency query; the batching is purely an evaluation
-detail).  Vertex subsets are passed as sorted index arrays per side; the
-contract is on set contents, not order.
+``BipartiteOracles`` is built from exactly two callables, one per kind of
+query: ``independence(left, right)`` and ``adjacency_block(left, right)``,
+which answers adjacency for a whole block of pairs at once.  Single-pair and
+single-row adjacency queries are that block on one row; each probed pair
+counts as one adjacency query, so the batching is purely an evaluation
+detail.  The object checks every index against the side sizes and keeps the
+per-object query counters.  Vertex subsets are passed as sorted index arrays
+per side; the contract is on set contents, not order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,11 +47,13 @@ def _as_index_array(indices) -> np.ndarray:
 class BipartiteOracles:
     """Query access to a hidden bipartite graph, with call counters.
 
-    ``independence`` receives two sorted int arrays (left indices, right
-    indices) and must return True iff no edge of the hidden graph joins
-    them.  ``adjacency`` receives a single (u, v) index pair.  Optional
-    ``adjacency_row`` / ``adjacency_block`` callables vectorize adjacency
-    probing; generic fallbacks loop over ``adjacency``.
+    The graph is given by two callables.  ``independence`` receives two
+    sorted int arrays (left indices, right indices) and must return True
+    iff no edge of the hidden graph joins them.  ``adjacency_block``
+    receives two index arrays and returns the boolean adjacency matrix of
+    left x right.  The single-pair and single-row adjacency entry points
+    are that block on one row; every probed pair counts as one adjacency
+    query.  All indices are checked against the side sizes first.
 
     Counters are plain attributes mutated under the GIL; concurrent trials
     should each own their oracle object (counters are deliberately not
@@ -60,18 +65,13 @@ class BipartiteOracles:
         left_size: int,
         right_size: int,
         independence: Callable[[np.ndarray, np.ndarray], bool],
-        adjacency: Callable[[int, int], bool],
-        *,
-        adjacency_row: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
-        adjacency_block: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+        adjacency_block: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> None:
         if left_size < 0 or right_size < 0:
             raise ValueError("side sizes must be nonnegative")
         self.left_size = int(left_size)
         self.right_size = int(right_size)
         self._independence = independence
-        self._adjacency = adjacency
-        self._adjacency_row = adjacency_row
         self._adjacency_block = adjacency_block
         self.independence_calls = 0
         self.adjacency_calls = 0
@@ -99,39 +99,28 @@ class BipartiteOracles:
         self.independence_calls += 1
         return bool(self._independence(left, right))
 
+    def _block(self, left, right) -> np.ndarray:
+        """The checked, counted block behind all three adjacency entry points."""
+        left = _as_index_array(left)
+        right = _as_index_array(right)
+        self._check_bounds(left, right)
+        self.adjacency_calls += int(left.size) * int(right.size)
+        return np.asarray(self._adjacency_block(left, right), dtype=bool)
+
     def adjacency_query(self, u: int, v: int) -> bool:
         """True iff (u, v) is an edge. Counts as one query."""
-        self.adjacency_calls += 1
-        return bool(self._adjacency(int(u), int(v)))
+        return bool(self._block([u], [v])[0, 0])
 
     def adjacency_row(self, u: int, right) -> np.ndarray:
         """Adjacency of left vertex ``u`` against each of ``right``.
 
         Counts as ``len(right)`` adjacency queries.
         """
-        right = _as_index_array(right)
-        self.adjacency_calls += int(right.size)
-        if self._adjacency_row is not None:
-            return np.asarray(self._adjacency_row(int(u), right), dtype=bool)
-        return np.fromiter(
-            (self._adjacency(int(u), int(v)) for v in right), dtype=bool, count=right.size
-        )
+        return self._block([u], right)[0]
 
     def adjacency_block(self, left, right) -> np.ndarray:
         """Adjacency matrix of ``left`` x ``right``; len(left)*len(right) queries."""
-        left = _as_index_array(left)
-        right = _as_index_array(right)
-        self.adjacency_calls += int(left.size) * int(right.size)
-        if self._adjacency_block is not None:
-            return np.asarray(self._adjacency_block(left, right), dtype=bool)
-        out = np.empty((left.size, right.size), dtype=bool)
-        for i, u in enumerate(left):
-            if self._adjacency_row is not None:
-                out[i] = np.asarray(self._adjacency_row(int(u), right), dtype=bool)
-            else:
-                for j, v in enumerate(right):
-                    out[i, j] = self._adjacency(int(u), int(v))
-        return out
+        return self._block(left, right)
 
     def count_edges_incident(self, left, right) -> int:
         """Exact number of edges between the two index sets (block sum)."""
@@ -181,23 +170,10 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
                 return False
         return True
 
-    def adjacency_fn(u: int, v: int) -> bool:
-        return bool(adj[u, v])
-
-    def adjacency_row(u: int, right: np.ndarray) -> np.ndarray:
-        return adj[u, right]
-
     def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return adj[np.ix_(left, right)]
 
-    return BipartiteOracles(
-        left_size,
-        right_size,
-        independence,
-        adjacency_fn,
-        adjacency_row=adjacency_row,
-        adjacency_block=adjacency_block,
-    )
+    return BipartiteOracles(left_size, right_size, independence, adjacency_block)
 
 
 def edge_set_oracles(
@@ -242,15 +218,12 @@ class AmplifiedDecider:
 
     base: Callable[..., bool]
     repetitions: int
-    target_failure: float
-    calls: int = field(default=0)
 
     def __post_init__(self) -> None:
         if self.repetitions < 1 or self.repetitions % 2 == 0:
             raise ValueError("repetitions must be a positive odd integer")
 
     def __call__(self, *args, **kwargs) -> bool:
-        self.calls += 1
         trues = sum(1 for _ in range(self.repetitions) if self.base(*args, **kwargs))
         return trues > self.repetitions // 2
 
@@ -263,7 +236,7 @@ def amplify(
 ) -> AmplifiedDecider:
     """Wrap a decider failing with probability <= 1/3 to fail <= target_failure."""
     r = repetitions_for(target_failure, constant)
-    return AmplifiedDecider(base=base, repetitions=r, target_failure=target_failure)
+    return AmplifiedDecider(base=base, repetitions=r)
 
 
 def amplified_independence(
@@ -279,7 +252,5 @@ def amplified_independence(
         oracles.left_size,
         oracles.right_size,
         amplify(oracles.independence_query, target_failure, constant=constant),
-        oracles.adjacency_query,
-        adjacency_row=oracles.adjacency_row,
-        adjacency_block=oracles.adjacency_block,
+        oracles.adjacency_block,
     )

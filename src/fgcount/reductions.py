@@ -289,26 +289,13 @@ class _Witnesses:
             def independence(left: np.ndarray, right: np.ndarray) -> bool:
                 return not self.has_witness(left, right)
 
-        def adjacency(u: int, v: int) -> bool:
-            return bool(self.kernel(np.array([u]), np.array([v]))[0, 0])
-
-        def adjacency_row(u: int, right: np.ndarray) -> np.ndarray:
-            return self.kernel(np.array([u]), right)[0]
-
         def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
             out = np.empty((left.size, right.size), dtype=bool)
             for start, block in self._blocks(left, right):
                 out[start : start + len(block)] = block
             return out
 
-        return BipartiteOracles(
-            self.left_size,
-            self.right_size,
-            independence,
-            adjacency,
-            adjacency_row=adjacency_row,
-            adjacency_block=adjacency_block,
-        )
+        return BipartiteOracles(self.left_size, self.right_size, independence, adjacency_block)
 
 
 # --------------------------------------------------------------------------

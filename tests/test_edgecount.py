@@ -321,7 +321,9 @@ def test_noisy_independence_oracle_is_wrapped():
             return not truth
         return truth
 
-    oracles = BipartiteOracles(1600, 1600, noisy, lambda u, v: False)
+    oracles = BipartiteOracles(
+        1600, 1600, noisy, lambda u, v: np.zeros((len(u), len(v)), dtype=bool)
+    )
     eps = 0.25
     value = edge_count(oracles, eps, RngStream(71), oracle_failure_prob=0.2)
     assert value == 0
@@ -360,22 +362,11 @@ def test_counters_match_instrumented_wrapper_across_a_run():
         tally["independence"] += 1
         return not adj[np.ix_(left, right)].any()
 
-    def adjacency(u, v):
-        tally["adjacency"] += 1
-        return bool(adj[u, v])
-
-    def adjacency_row(u, right):
-        tally["adjacency"] += len(right)
-        return adj[u, right]
-
     def adjacency_block(left, right):
         tally["adjacency"] += len(left) * len(right)
         return adj[np.ix_(left, right)]
 
-    oracles = BipartiteOracles(
-        1700, 1700, independence, adjacency,
-        adjacency_row=adjacency_row, adjacency_block=adjacency_block,
-    )
+    oracles = BipartiteOracles(1700, 1700, independence, adjacency_block)
     value = edge_count(oracles, 0.25, RngStream(76))
     assert value == int(adj.sum())
     assert oracles.independence_calls == tally["independence"]

@@ -14,7 +14,7 @@ from fgcount.edgecount import (
     find_core,
     halve,
 )
-from fgcount.oracles import matrix_oracles
+from fgcount.oracles import BipartiteOracles, matrix_oracles
 from fgcount.rng import RngStream, derive_stream
 
 
@@ -136,6 +136,76 @@ def test_sketch_sample_lies_in_nonisolated_left():
         nonisolated = np.flatnonzero(adj.any(axis=1))
         assert set(out.sketch.sample) <= set(nonisolated)
         assert (out.sketch.neighbor_counts <= out.sketch.sample.size).all()
+
+
+def test_sketch_sample_is_first_nonisolated_in_the_ordering():
+    # Y is the first fcc left vertices of the stream's permutation that have
+    # a neighbour in X, in that order.
+    gen = np.random.default_rng(2)
+    left = right = 1024
+    adj = gen.random((left, right)) < 0.01
+    X = np.arange(0, right, 2)
+    xi = 0.3
+    out = find_core(matrix_oracles(adj), X, xi, RngStream(5))
+    assert isinstance(out, Core)
+    order = RngStream(5).generator().permutation(left)
+    nonisolated = adj[:, X].any(axis=1)
+    fcc = CoreParams.compute(xi, left + right).fcc
+    np.testing.assert_array_equal(out.sketch.sample, order[nonisolated[order]][:fcc])
+
+
+class WindowRecorder:
+    """Independence callable that checks no query repeats a scanned vertex.
+
+    A vertex is certified isolated when a query containing it answers
+    independent, and located when a dependent query's only uncertified
+    member is that vertex.  At each location everything certified so far
+    counts as scanned, and no later query may contain a scanned vertex.
+    """
+
+    def __init__(self, adj, X):
+        self.adj = adj
+        self.X = X
+        self.certified: set = set()
+        self.pending: list = []  # dependent queries of the current search
+        self.scanned: set = set()
+        self.located: list = []
+
+    def __call__(self, left, right):
+        np.testing.assert_array_equal(right, self.X)
+        members = set(left.tolist())
+        assert not members & self.scanned
+        answer = not self.adj[np.ix_(left, right)].any()
+        if answer:
+            self.certified |= members
+        else:
+            self.pending.append(members)
+        for query in self.pending:
+            rest = query - self.certified
+            if len(rest) == 1:
+                self.located.extend(rest)
+                self.scanned |= self.certified | rest
+                self.pending = []
+                break
+        return answer
+
+
+@pytest.mark.parametrize("density, xi, x_size", [(0.01, 0.3, 1024), (0.002, 0.5, 200)])
+def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
+    # The first case returns a core, the second exhausts the ordering.
+    gen = np.random.default_rng(41)
+    left = right = 1024
+    adj = gen.random((left, right)) < density
+    X = np.arange(x_size)
+    recorder = WindowRecorder(adj, X)
+    oracles = BipartiteOracles(left, right, recorder, lambda u, v: adj[np.ix_(u, v)])
+    out = find_core(oracles, X, xi, RngStream(8))
+    if isinstance(out, Core):
+        np.testing.assert_array_equal(recorder.located, out.sketch.sample)
+    else:
+        assert out.count == int(adj[:, X].sum())
+        nonisolated = np.flatnonzero(adj[:, X].any(axis=1))
+        assert sorted(recorder.located) == nonisolated.tolist()
 
 
 # -- classify_core -----------------------------------------------------------

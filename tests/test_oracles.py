@@ -64,20 +64,18 @@ def test_counters_match_instrumented_wrapper_exactly():
         tally["independence"] += 1
         return not adj[np.ix_(left, right)].any()
 
-    def adjacency_row(u, right):
-        tally["adjacency"] += len(right)
-        return adj[u, right]
+    def adjacency_block(left, right):
+        tally["adjacency"] += len(left) * len(right)
+        return adj[np.ix_(left, right)]
 
-    def adjacency(u, v):
-        tally["adjacency"] += 1
-        return bool(adj[u, v])
-
-    oracles = BipartiteOracles(25, 25, independence, adjacency, adjacency_row=adjacency_row)
+    oracles = BipartiteOracles(25, 25, independence, adjacency_block)
     for _ in range(30):
         lsel = np.flatnonzero(gen.random(25) < 0.5)
         rsel = np.flatnonzero(gen.random(25) < 0.5)
         oracles.independence_query(lsel, rsel)
         if lsel.size and rsel.size:
+            assert oracles.adjacency_query(lsel[0], rsel[0]) == adj[lsel[0], rsel[0]]
+            np.testing.assert_array_equal(oracles.adjacency_row(lsel[0], rsel), adj[lsel[0], rsel])
             oracles.adjacency_block(lsel, rsel)
     assert oracles.independence_calls == tally["independence"]
     assert oracles.adjacency_calls == tally["adjacency"]
@@ -94,6 +92,19 @@ def test_out_of_range_subset_rejected():
     oracles = edge_set_oracles(3, 3, [])
     with pytest.raises(IndexError):
         oracles.independence_query([3], [0])
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (3, 0), (0, -1), (0, 4)])
+def test_out_of_range_adjacency_rejected(u, v):
+    # A negative index must not wrap around to the last row or column.
+    oracles = matrix_oracles(np.ones((3, 4), dtype=bool))
+    with pytest.raises(IndexError):
+        oracles.adjacency_query(u, v)
+    with pytest.raises(IndexError):
+        oracles.adjacency_row(u, [0, v])
+    with pytest.raises(IndexError):
+        oracles.adjacency_block([0, u], [v, 1])
+    assert oracles.adjacency_calls == 0
 
 
 # -- amplification ----------------------------------------------------------
@@ -187,7 +198,7 @@ def test_amplified_wrapper_fixes_a_noisy_decider():
         truth = not adj[np.ix_(left, right)].any()
         return truth if gen.random() >= 0.3 else (not truth)
 
-    oracles = BipartiteOracles(8, 8, noisy_independence, lambda u, v: bool(adj[u, v]))
+    oracles = BipartiteOracles(8, 8, noisy_independence, lambda u, v: adj[np.ix_(u, v)])
     wrapped = amplified_independence(oracles, 1e-4)
     wrong = 0
     for _ in range(200):
