@@ -18,6 +18,7 @@ from .rng import RngStream, derive_stream
 from .oracles import (
     AmplifiedDecider,
     BipartiteOracles,
+    BoundRight,
     amplify,
     amplified_independence,
     edge_set_oracles,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -48,6 +49,16 @@ def _resolve_seed(seed: int) -> int:
     return seed
 
 
+def _usage_error(message: str) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_USAGE)
+
+
+def _check_unit_interval(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        _usage_error(f"{name} must lie in (0,1), got {value}")
+
+
 @click.group()
 def main() -> None:
     """Approximate counting via decision oracles."""
@@ -67,18 +78,21 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gen(problem, n, seed, planted, d, density, value_bound, weight_bound, clauses, width, out):
     """Generate an instance file (JSON, or DIMACS for CNF)."""
-    spec = GeneratorSpec(
-        problem=Problem(problem),
-        n=n,
-        seed=_resolve_seed(seed),
-        planted_count=planted,
-        d=d,
-        density=density,
-        value_bound=value_bound,
-        weight_bound=weight_bound,
-        clause_count=clauses,
-        width_k=width,
-    )
+    try:
+        spec = GeneratorSpec(
+            problem=Problem(problem),
+            n=n,
+            seed=_resolve_seed(seed),
+            planted_count=planted,
+            d=d,
+            density=density,
+            value_bound=value_bound,
+            weight_bound=weight_bound,
+            clause_count=clauses,
+            width_k=width,
+        )
+    except ValueError as exc:
+        _usage_error(str(exc))
     try:
         inst = generate(spec)
     except InfeasiblePlant as exc:
@@ -92,16 +106,15 @@ def gen(problem, n, seed, planted, d, density, value_bound, weight_bound, clause
 
 
 def _count_command(counter, instance_file, eps, seed, exact_flag, expected_kind):
+    _check_unit_interval("--eps", eps)
     try:
         inst = load_instance(instance_file)
     except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_error(str(exc))
     from .instances import problem_kind
 
     if problem_kind(inst) is not expected_kind:
-        click.echo(f"error: expected a {expected_kind.value} instance", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_error(f"expected a {expected_kind.value} instance")
     rng = derive_stream(RngStream(_resolve_seed(seed)), "cli-count")
     try:
         value = counter(inst, rng)
@@ -172,13 +185,14 @@ def count_nwt_cmd(instance_file, eps, seed, exact_flag):
 def count_cnf_cmd(instance_file, eps, delta, seed, exact_flag):
     """Approximately count satisfying assignments of a DIMACS CNF."""
 
+    _check_unit_interval("--delta", delta)
+
     def counter(inst, rng):
         if not isinstance(inst, CnfFormula):
-            click.echo(
-                "error: approximate counting takes a plain CNF; files with "
-                "x-lines encode decision-oracle instances", err=True,
+            _usage_error(
+                "approximate counting takes a plain CNF; files with "
+                "x-lines encode decision-oracle instances"
             )
-            sys.exit(EXIT_USAGE)
         return approx_count_cnf(inst, eps, delta, rng)
 
     _count_command(counter, instance_file, eps, seed, exact_flag, Problem.CNF)
@@ -192,8 +206,7 @@ def bench(config_file, out):
     try:
         cfg = ExperimentConfig.from_json(Path(config_file).read_text())
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_error(str(exc))
     try:
         records = run_experiment(cfg)
     except CapExceeded as exc:  # the exact reference count, before any trial
@@ -221,8 +234,12 @@ def probe(problem, sizes, eps, trials, seed, d, density, out):
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
     except ValueError:
-        click.echo("error: --sizes must be comma-separated integers", err=True)
-        sys.exit(EXIT_USAGE)
+        size_list = []
+    if not size_list or min(size_list) <= 0:
+        _usage_error("--sizes must be comma-separated positive integers")
+    if trials < 1:
+        _usage_error(f"--trials must be at least 1, got {trials}")
+    _check_unit_interval("--eps", eps)
     seed = _resolve_seed(seed)
     template = GeneratorSpec(
         problem=Problem(problem), n=max(size_list), seed=seed, d=d, density=density

@@ -151,3 +151,34 @@ def test_bench_exact_reference_beyond_the_cap_is_cap_exceeded(runner, tmp_path):
     assert r.exit_code == EXIT_NO_ESTIMATE
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert r.output.startswith("CAP_EXCEEDED: ")
+
+
+def _assert_usage_error(r):
+    assert r.exit_code == EXIT_USAGE, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["probe", "--problem", "ov", "--sizes", ","],
+    ["probe", "--problem", "ov", "--sizes", "64", "--trials", "0"],
+    ["probe", "--problem", "ov", "--sizes", "64", "--eps", "0"],
+    ["gen", "--problem", "ov", "--n", "-5"],
+], ids=["probe-empty-sizes", "probe-zero-trials", "probe-eps-zero", "gen-negative-n"])
+def test_bad_arguments_are_usage_errors(runner, args):
+    _assert_usage_error(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("count-ov", "--eps", "1.5"),
+    ("count-cnf", "--delta", "1.5"),
+])
+def test_count_rejects_parameters_outside_the_unit_interval(
+    runner, tmp_path, command, option, value
+):
+    problem = command.removeprefix("count-")
+    path = tmp_path / f"i.{'cnf' if problem == 'cnf' else 'json'}"
+    r = runner.invoke(main, ["gen", "--problem", problem, "--n", "20", "--seed", "1",
+                             "--out", str(path)])
+    assert r.exit_code == 0, r.output
+    _assert_usage_error(runner.invoke(main, [command, str(path), option, value]))

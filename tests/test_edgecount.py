@@ -322,7 +322,8 @@ def test_noisy_independence_oracle_is_wrapped():
         return truth
 
     oracles = BipartiteOracles(
-        1600, 1600, noisy, lambda u, v: np.zeros((len(u), len(v)), dtype=bool)
+        1600, 1600, lambda r: lambda u: noisy(u, r),
+        lambda u, v: np.zeros((len(u), len(v)), dtype=bool),
     )
     eps = 0.25
     value = edge_count(oracles, eps, RngStream(71), oracle_failure_prob=0.2)
@@ -366,7 +367,9 @@ def test_counters_match_instrumented_wrapper_across_a_run():
         tally["adjacency"] += len(left) * len(right)
         return adj[np.ix_(left, right)]
 
-    oracles = BipartiteOracles(1700, 1700, independence, adjacency_block)
+    oracles = BipartiteOracles(
+        1700, 1700, lambda r: lambda u: independence(u, r), adjacency_block
+    )
     value = edge_count(oracles, 0.25, RngStream(76))
     assert value == int(adj.sum())
     assert oracles.independence_calls == tally["independence"]
@@ -414,6 +417,27 @@ def test_real_loop_removal_regime():
             derive_stream(RngStream(4242), f"t{seed}"), config=config,
         )
         assert 0.85 * exact <= v <= 1.15 * exact
+
+
+def test_loop_regime_run_is_pinned():
+    # One fixed-seed run of the removal/halving regime above, pinned to the
+    # values recorded before independence queries bound X once per pass.
+    # Faster oracle paths must reproduce every query, branch and count.
+    left, right = 16_000, 4_000
+    n = left + right
+    eps = 0.25
+    config = EdgeCountConfig(zeta_constant=eps**2 / (0.9 * math.log(n) ** 3))
+    adj = random_bipartite(left, right, 0.01, RngStream(42))
+    oracles = matrix_oracles(adj)
+    st = EdgeCountStats()
+    value = edge_count(oracles, eps, RngStream(43), config=config, stats=st)
+    assert value == 639_800
+    assert oracles.independence_calls == 26_322
+    assert oracles.adjacency_calls == 111_275_863
+    assert st.exit_branch == "first-pass"
+    assert (st.halvings, st.removals) == (2, 2)
+    assert (st.final_t, st.final_accumulator) == (2, 564_868)
+    assert st.events == ["remove-halve:1", "remove-halve:2", "exact-a:3"]
 
 
 def test_real_loop_halving_regime():
