@@ -18,7 +18,6 @@ from .rng import RngStream, derive_stream
 from .oracles import (
     AmplifiedDecider,
     BipartiteOracles,
-    BoundRight,
     amplify,
     amplified_independence,
     edge_set_oracles,

@@ -187,9 +187,7 @@ def find_core(
     (U_X itself was smaller than fcc, so again count exactly).  Each binary
     search runs over the window after the last vertex found: everything
     before it is located or certified isolated from X, so its queries are
-    order[lo:k] against X for the window start lo.  X is bound once per
-    scan (``BipartiteOracles.bind_right``), so the backend prepares it
-    once and each query costs one decision on its window.  In the
+    order[lo:k] against X for the window start lo.  In the
     sampled case, the returned set S collects the right vertices adjacent
     to at least xi*fcc/2 members of Y; with probability >= 1 - 3/n it
     contains every vertex of degree >= xi |U_X| and nothing of degree
@@ -213,13 +211,11 @@ def find_core(
 
     # Every vertex before ``lo`` is located or certified isolated from X, so
     # each search only queries the window order[lo:k]; order[lo:lo] is empty.
-    # X is bound once, so each query costs one decision on its window.
-    bound_X = oracles.bind_right(X)
     hit_positions: list[int] = []
     lo = 0
     while len(hit_positions) < params.fcc and lo < t:
         k = _gallop_max_true(
-            lambda k: oracles.independence_query(order[lo:k], bound_X), lo, t
+            lambda k: oracles.independence_query(order[lo:k], X), lo, t
         )
         if k == t:
             break

@@ -8,18 +8,13 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
   (stands in for verifying one candidate witness).
 
 ``BipartiteOracles`` is built from exactly two callables, one per kind of
-query: ``independence(right)``, which prepares a right set once and returns
-the predicate ``left -> bool`` answering queries against it, and
-``adjacency_block(left, right)``, which answers adjacency for a whole block
-of pairs at once.  The estimator asks many independence queries against one
-right set X and a small, changing left window, so X is bound once
-(``bind_right``) and each query costs one decision on its window.
-Single-pair and single-row adjacency queries are the block on one row; each
-probed pair counts as one adjacency query, so the batching is purely an
-evaluation detail.  The object checks every index against the side sizes
-and keeps the per-object query counters.  Vertex subsets reach the
-independence callables as sorted index arrays per side; the contract is on
-set contents, not order.
+query: ``independence(left, right)`` and ``adjacency_block(left, right)``,
+which answers adjacency for a whole block of pairs at once.  Single-pair and
+single-row adjacency queries are that block on one row; each probed pair
+counts as one adjacency query, so the batching is purely an evaluation
+detail.  The object checks every index against the side sizes and keeps the
+per-object query counters.  Vertex subsets are passed as sorted index arrays
+per side; the contract is on set contents, not order.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "BipartiteOracles",
-    "BoundRight",
     "matrix_oracles",
     "edge_set_oracles",
     "AmplifiedDecider",
@@ -50,38 +44,16 @@ def _as_index_array(indices) -> np.ndarray:
     return arr
 
 
-def _check_sorted_bounds(indices: np.ndarray, size: int, side: str) -> None:
-    if indices.size and (indices[0] < 0 or indices[-1] >= size):
-        raise IndexError(f"{side} index out of range")
-
-
-@dataclass(frozen=True, eq=False)
-class BoundRight:
-    """A right set bound to one ``BipartiteOracles`` object.
-
-    ``indices`` is sorted, bounds-checked against ``owner`` and read-only;
-    ``predicate`` is what the owner's independence backend prepared for it.
-    Only ``owner`` trusts the value: any other object binds its indices anew.
-    """
-
-    owner: "BipartiteOracles"
-    indices: np.ndarray
-    predicate: Callable[[np.ndarray], bool]
-
-
 class BipartiteOracles:
     """Query access to a hidden bipartite graph, with call counters.
 
-    The graph is given by two callables.  ``independence`` receives a
-    sorted int array of right indices and returns a predicate; the
-    predicate receives a sorted int array of left indices and must return
-    True iff no edge of the hidden graph joins the two sets.  The backend
-    may do any per-right-set work (masks, slices) once, when it is called.
-    ``adjacency_block`` receives two index arrays and returns the boolean
-    adjacency matrix of left x right.  The single-pair and single-row
-    adjacency entry points are that block on one row; every probed pair
-    counts as one adjacency query.  All indices are checked against the
-    side sizes first.
+    The graph is given by two callables.  ``independence`` receives two
+    sorted int arrays (left indices, right indices) and must return True
+    iff no edge of the hidden graph joins them.  ``adjacency_block``
+    receives two index arrays and returns the boolean adjacency matrix of
+    left x right.  The single-pair and single-row adjacency entry points
+    are that block on one row; every probed pair counts as one adjacency
+    query.  All indices are checked against the side sizes first.
 
     Counters are plain attributes mutated under the GIL; concurrent trials
     should each own their oracle object (counters are deliberately not
@@ -92,7 +64,7 @@ class BipartiteOracles:
         self,
         left_size: int,
         right_size: int,
-        independence: Callable[[np.ndarray], Callable[[np.ndarray], bool]],
+        independence: Callable[[np.ndarray, np.ndarray], bool],
         adjacency_block: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> None:
         if left_size < 0 or right_size < 0:
@@ -114,35 +86,18 @@ class BipartiteOracles:
         if right.size and (right.min() < 0 or right.max() >= self.right_size):
             raise IndexError("right index out of range")
 
-    def bind_right(self, right) -> BoundRight:
-        """Sort, check and prepare a right set once for many independence queries.
-
-        A value this object bound is returned as it is; raw indices, or a
-        value bound by another object, are bound here.  Binding is not a
-        query and counts nothing.
-        """
-        if isinstance(right, BoundRight):
-            if right.owner is self:
-                return right
-            right = right.indices
-        right = np.sort(_as_index_array(right))
-        _check_sorted_bounds(right, self.right_size, "right")
-        right.flags.writeable = False
-        return BoundRight(self, right, self._independence(right))
-
     def independence_query(self, left, right) -> bool:
         """True iff the subset (left ∪ right) spans no edge. Counts as one query.
 
-        ``right`` is raw indices or a ``bind_right`` value of this object;
-        raw indices are bound on the spot.  The predicate always receives
-        a sorted left array (the query is about set contents; sorting is
-        the canonical form, and decision backends may rely on it).
+        The underlying callable always receives sorted index arrays (the
+        query is about set contents; sorting is the canonical form, and
+        decision backends may rely on it).
         """
-        bound = self.bind_right(right)
         left = np.sort(_as_index_array(left))
-        _check_sorted_bounds(left, self.left_size, "left")
+        right = np.sort(_as_index_array(right))
+        self._check_bounds(left, right)
         self.independence_calls += 1
-        return bool(bound.predicate(left))
+        return bool(self._independence(left, right))
 
     def _block(self, left, right) -> np.ndarray:
         """The checked, counted block behind all three adjacency entry points."""
@@ -190,8 +145,8 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     """Oracle pair backed by an explicit |U| x |V| boolean matrix.
 
     Used for synthetic graphs and as the ground-truth oracle in tests.
-    Binding a right set packs it into one bit mask; each independence query
-    then scans its left rows' packed words in blocks with early exit.
+    Independence queries scan left rows in blocks with early exit; a packed
+    bit representation keeps each probe cheap even for wide right sides.
     Adjacency blocks are gathered 256 rows at a time, so no temporary grows
     with the number of left rows.
     """
@@ -199,21 +154,23 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     if adj.ndim != 2:
         raise ValueError("adjacency must be a 2-D boolean matrix")
     left_size, right_size = adj.shape
-    words = max(1, (right_size + 63) // 64)
-    packed = _pack_rows(adj) if left_size else np.zeros((0, words), dtype=np.uint64)
+    packed = _pack_rows(adj) if left_size else np.zeros((0, 1), dtype=np.uint64)
+    words = packed.shape[1]
 
-    def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+    def right_mask(right: np.ndarray) -> np.ndarray:
         mask = np.zeros(words * 64, dtype=bool)
         mask[right] = True
-        rmask = np.packbits(mask, bitorder="little").view(np.uint64)
+        return np.packbits(mask, bitorder="little").view(np.uint64)
 
-        def independent(left: np.ndarray) -> bool:
-            for start in range(0, left.size, 256):
-                if (packed[left[start : start + 256]] & rmask).any():
-                    return False
+    def independence(left: np.ndarray, right: np.ndarray) -> bool:
+        if left.size == 0 or right.size == 0:
             return True
-
-        return independent
+        rmask = right_mask(right)
+        for start in range(0, left.size, 256):
+            chunk = packed[left[start : start + 256]]
+            if (chunk & rmask).any():
+                return False
+        return True
 
     def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         out = np.empty((left.size, right.size), dtype=bool)
@@ -293,17 +250,13 @@ def amplified_independence(
 ) -> BipartiteOracles:
     """View of ``oracles`` whose independence answers are majority-amplified.
 
-    Binding a right set on the view binds it once on ``oracles``; each
-    independence query then fans out into an odd number of queries on
+    Each independence query fans out into an odd number of queries on
     ``oracles``, and adjacency queries pass straight through to it, so its
     counters record the raw decider invocations.
     """
-    repetitions = repetitions_for(target_failure, constant)
-
-    def independence(right: np.ndarray) -> AmplifiedDecider:
-        bound = oracles.bind_right(right)
-        return AmplifiedDecider(lambda left: oracles.independence_query(left, bound), repetitions)
-
     return BipartiteOracles(
-        oracles.left_size, oracles.right_size, independence, oracles.adjacency_block
+        oracles.left_size,
+        oracles.right_size,
+        amplify(oracles.independence_query, target_failure, constant=constant),
+        oracles.adjacency_block,
     )

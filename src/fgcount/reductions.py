@@ -15,12 +15,11 @@ C for 3SUM, the adjacency and weight matrices plus the B–C edge list for
 NWT.  The baseline decider (is there a witness?), the exact counter (how
 many?), the adjacency queries and the built-in independence query all
 evaluate that kernel, in blocks of at most 256 left rows and about 2^19
-pairs.  The kernel takes its right side's slice once per right set, which
-the estimator binds once per core-finding pass.  With the built-in decider
-an independence query is therefore answered on the parent's data, without
-building a sub-instance.  A caller-supplied ``decision=`` procedure keeps
-the paper's contract: it receives the materialized sub-instance of each
-query and decides whether it has a witness.  The built-in deciders are deterministic, so the
+pairs.  With the built-in decider an independence query is therefore
+answered on the parent's data, without building a sub-instance.  A
+caller-supplied ``decision=`` procedure keeps the paper's contract: it
+receives the materialized sub-instance and decides whether it has a
+witness.  The built-in deciders are deterministic, so the
 failure-amplification wrapper is engaged only when a caller declares an
 injected decision procedure to be randomized.
 
@@ -253,51 +252,46 @@ _BLOCK_PAIRS = 1 << 19
 class _Witnesses:
     """One problem's hidden bipartite graph, evaluated block by block.
 
-    ``kernel(right)`` takes the right side's slice of the instance's data
-    once and returns ``block(left)``, which maps a left index array to the
-    block of witness counts of its pairs with ``right``: 0/1 for OV and
-    NWT, the multiplicity of a + b in C for 3SUM.  It runs on data the
-    instance already holds, so the decider, the exact counter, adjacency
-    and the built-in independence query are all this one test.
+    ``kernel(left, right)`` maps left and right index arrays to the
+    block of witness counts of those pairs: 0/1 for OV and NWT, the
+    multiplicity of a + b in C for 3SUM.  It runs on data the instance
+    already holds, so the decider, the exact counter, adjacency and the
+    built-in independence query are all this one test.
     """
 
-    kernel: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     left_size: int
     right_size: int
 
-    def _blocks(self, right: np.ndarray):
-        """``blocks(left)`` yielding (start, block) over ``right``, bound once."""
+    def _blocks(self, left: np.ndarray, right: np.ndarray):
         rows = max(1, min(_CHUNK, _BLOCK_PAIRS // max(right.size, 1)))
-        block = self.kernel(right)
+        for start in range(0, left.size, rows):
+            yield start, self.kernel(left[start : start + rows], right)
 
-        def blocks(left: np.ndarray):
-            for start in range(0, left.size, rows):
-                yield start, block(left[start : start + rows])
+    def _all(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.arange(self.left_size), np.arange(self.right_size)
 
-        return blocks
-
-    def _all_blocks(self):
-        return self._blocks(np.arange(self.right_size))(np.arange(self.left_size))
+    def has_witness(self, left: np.ndarray, right: np.ndarray) -> bool:
+        """True iff some pair in left x right is a witness (first hit exits)."""
+        return any(block.any() for _, block in self._blocks(left, right))
 
     def decide(self) -> bool:
-        """True iff some pair is a witness (the first block with one exits)."""
-        return any(block.any() for _, block in self._all_blocks())
+        return self.has_witness(*self._all())
 
     def count(self) -> int:
-        return sum(int(block.sum()) for _, block in self._all_blocks())
+        return sum(int(block.sum()) for _, block in self._blocks(*self._all()))
 
     def oracles(
-        self, independence: Optional[Callable[[np.ndarray], Callable[[np.ndarray], bool]]] = None
+        self, independence: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
     ) -> BipartiteOracles:
         """Oracle pair with kernel adjacency; independence defaults to the kernel."""
         if independence is None:
-            def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-                blocks = self._blocks(right)
-                return lambda left: not any(block.any() for _, block in blocks(left))
+            def independence(left: np.ndarray, right: np.ndarray) -> bool:
+                return not self.has_witness(left, right)
 
         def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
             out = np.empty((left.size, right.size), dtype=bool)
-            for start, block in self._blocks(right)(left):
+            for start, block in self._blocks(left, right):
                 out[start : start + len(block)] = block
             return out
 
@@ -313,17 +307,12 @@ def _three_sum_witnesses(inst: ThreeSumInstance) -> _Witnesses:
     """Left = A, right = B; a pair's count is the multiplicity of a + b in C."""
     values, mult = np.unique(inst.c, return_counts=True)
 
-    def multiplicity(right: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        b = inst.b[right][None, :]
-
-        def block(left: np.ndarray) -> np.ndarray:
-            sums = inst.a[left][:, None] + b
-            if values.size == 0:
-                return np.zeros(sums.shape, dtype=np.int64)
-            idx = np.minimum(np.searchsorted(values, sums), values.size - 1)
-            return np.where(values[idx] == sums, mult[idx], 0)
-
-        return block
+    def multiplicity(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        sums = inst.a[left][:, None] + inst.b[right][None, :]
+        if values.size == 0:
+            return np.zeros(sums.shape, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(values, sums), values.size - 1)
+        return np.where(values[idx] == sums, mult[idx], 0)
 
     return _Witnesses(multiplicity, int(inst.a.size), int(inst.b.size))
 
@@ -348,11 +337,9 @@ def three_sum_oracles(
     """
     independence = None
     if decision is not None:
-        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-            b = inst.b[right]
-            return lambda left: not decision(
-                ThreeSumInstance(inst.a[left], b, inst.c, inst.n_bound)
-            )
+        def independence(left: np.ndarray, right: np.ndarray) -> bool:
+            sub = ThreeSumInstance(inst.a[left], inst.b[right], inst.c, inst.n_bound)
+            return not decision(sub)
 
     return _three_sum_witnesses(inst).oracles(independence)
 
@@ -405,9 +392,8 @@ def _ov_witnesses(inst: OvInstance) -> _Witnesses:
     """Left = A, right = B; a pair is a witness iff its packed words share no bit."""
     pa, pb = inst.packed
 
-    def orthogonal(right: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        b = pb[right][None, :, :]
-        return lambda left: ((pa[left][:, None, :] & b) == 0).all(axis=2)
+    def orthogonal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return ((pa[left][:, None, :] & pb[right][None, :, :]) == 0).all(axis=2)
 
     return _Witnesses(orthogonal, int(pa.shape[0]), int(pb.shape[0]))
 
@@ -432,9 +418,8 @@ def ov_oracles(
     """
     independence = None
     if decision is not None:
-        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-            b = inst.b[right]
-            return lambda left: not decision(OvInstance(inst.a[left], b))
+        def independence(left: np.ndarray, right: np.ndarray) -> bool:
+            return not decision(OvInstance(inst.a[left], inst.b[right]))
 
     return _ov_witnesses(inst).oracles(independence)
 
@@ -473,15 +458,10 @@ def _nwt_witnesses(inst: NwtInstance) -> _Witnesses:
     vb, vc = inst.bc_edges()
     adj, w = inst.adjacency, inst.weights
 
-    def negative_triangle(right: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def negative_triangle(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        a = inst.part_a[left][:, None]
         b, c = vb[right], vc[right]
-        w_bc = w[b, c]
-
-        def block(left: np.ndarray) -> np.ndarray:
-            a = inst.part_a[left][:, None]
-            return adj[a, b] & adj[a, c] & (w[a, b] + w_bc + w[c, a] < 0)
-
-        return block
+        return adj[a, b] & adj[a, c] & (w[a, b] + w[b, c] + w[c, a] < 0)
 
     return _Witnesses(negative_triangle, int(inst.part_a.size), int(vb.size))
 
@@ -506,16 +486,11 @@ def sub_nwt_instance(
     the queried subset.
     """
     vb, vc = inst.bc_edges()
-    return _sub_nwt(inst, inst.part_a[left], vb[right], vc[right])
-
-
-def _sub_nwt(
-    inst: NwtInstance, keep_a: np.ndarray, bsel: np.ndarray, csel: np.ndarray
-) -> NwtInstance:
-    """``sub_nwt_instance`` on A-vertices and the endpoints of BC edges."""
+    keep_a = inst.part_a[left]
     adjacency = np.zeros_like(inst.adjacency)
     adjacency[keep_a, :] = inst.adjacency[keep_a, :]
     adjacency[:, keep_a] = inst.adjacency[:, keep_a]
+    bsel, csel = vb[right], vc[right]
     adjacency[bsel, csel] = True
     adjacency[csel, bsel] = True
     return NwtInstance(
@@ -539,11 +514,8 @@ def nwt_oracles(
     """
     independence = None
     if decision is not None:
-        vb, vc = inst.bc_edges()
-
-        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-            bsel, csel = vb[right], vc[right]
-            return lambda left: not decision(_sub_nwt(inst, inst.part_a[left], bsel, csel))
+        def independence(left: np.ndarray, right: np.ndarray) -> bool:
+            return not decision(sub_nwt_instance(inst, left, right))
 
     return _nwt_witnesses(inst).oracles(independence)
 

@@ -322,8 +322,7 @@ def test_noisy_independence_oracle_is_wrapped():
         return truth
 
     oracles = BipartiteOracles(
-        1600, 1600, lambda r: lambda u: noisy(u, r),
-        lambda u, v: np.zeros((len(u), len(v)), dtype=bool),
+        1600, 1600, noisy, lambda u, v: np.zeros((len(u), len(v)), dtype=bool)
     )
     eps = 0.25
     value = edge_count(oracles, eps, RngStream(71), oracle_failure_prob=0.2)
@@ -367,9 +366,7 @@ def test_counters_match_instrumented_wrapper_across_a_run():
         tally["adjacency"] += len(left) * len(right)
         return adj[np.ix_(left, right)]
 
-    oracles = BipartiteOracles(
-        1700, 1700, lambda r: lambda u: independence(u, r), adjacency_block
-    )
+    oracles = BipartiteOracles(1700, 1700, independence, adjacency_block)
     value = edge_count(oracles, 0.25, RngStream(76))
     assert value == int(adj.sum())
     assert oracles.independence_calls == tally["independence"]
@@ -420,9 +417,9 @@ def test_real_loop_removal_regime():
 
 
 def test_loop_regime_run_is_pinned():
-    # One fixed-seed run of the removal/halving regime above, pinned to the
-    # values recorded before independence queries bound X once per pass.
-    # Faster oracle paths must reproduce every query, branch and count.
+    # One fixed-seed run of the removal/halving regime above, pinned to
+    # recorded values: a faster oracle path must reproduce every query,
+    # branch and count.
     left, right = 16_000, 4_000
     n = left + right
     eps = 0.25

@@ -198,9 +198,7 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
     adj = gen.random((left, right)) < density
     X = np.arange(x_size)
     recorder = WindowRecorder(adj, X)
-    oracles = BipartiteOracles(
-        left, right, lambda r: lambda u: recorder(u, r), lambda u, v: adj[np.ix_(u, v)]
-    )
+    oracles = BipartiteOracles(left, right, recorder, lambda u, v: adj[np.ix_(u, v)])
     out = find_core(oracles, X, xi, RngStream(8))
     if isinstance(out, Core):
         np.testing.assert_array_equal(recorder.located, out.sketch.sample)
@@ -270,35 +268,3 @@ def test_halve_preserves_membership_and_order():
     X = np.asarray([3, 1, 4, 1, 5, 9, 2, 6])
     out = halve(X, RngStream(8))
     assert set(out.tolist()) <= set(X.tolist())
-
-
-@pytest.mark.parametrize("density, xi, x_size, outcome", [
-    (0.01, 0.3, 1024, Core), (0.002, 0.5, 200, ExactCount), (0.01, 0.3, 10, ExactCount),
-])
-def test_right_set_is_prepared_once_per_scan(density, xi, x_size, outcome):
-    # A scanning pass binds X once; every query is one predicate call.  A
-    # thin X is enumerated by adjacency and binds nothing.
-    gen = np.random.default_rng(43)
-    adj = gen.random((1024, 1024)) < density
-    prepared, calls = [], [0]
-
-    def independence(right):
-        prepared.append(right.copy())
-
-        def independent(left):
-            calls[0] += 1
-            return not adj[np.ix_(left, right)].any()
-
-        return independent
-
-    oracles = BipartiteOracles(1024, 1024, independence, lambda u, v: adj[np.ix_(u, v)])
-    X = gen.permutation(1024)[:x_size]
-    out = find_core(oracles, X, xi, RngStream(9))
-    assert isinstance(out, outcome)
-    scans = 0 if x_size < 24 * math.log(2048) else 1
-    assert len(prepared) == scans
-    if scans:
-        np.testing.assert_array_equal(prepared[0], np.sort(X))
-        assert oracles.independence_calls == calls[0] > 0
-    else:
-        assert oracles.independence_calls == calls[0] == 0

@@ -68,9 +68,7 @@ def test_counters_match_instrumented_wrapper_exactly():
         tally["adjacency"] += len(left) * len(right)
         return adj[np.ix_(left, right)]
 
-    oracles = BipartiteOracles(
-        25, 25, lambda r: lambda u: independence(u, r), adjacency_block
-    )
+    oracles = BipartiteOracles(25, 25, independence, adjacency_block)
     for _ in range(30):
         lsel = np.flatnonzero(gen.random(25) < 0.5)
         rsel = np.flatnonzero(gen.random(25) < 0.5)
@@ -200,118 +198,13 @@ def test_amplified_wrapper_fixes_a_noisy_decider():
         truth = not adj[np.ix_(left, right)].any()
         return truth if gen.random() >= 0.3 else (not truth)
 
-    oracles = BipartiteOracles(
-        8, 8, lambda r: lambda u: noisy_independence(u, r), lambda u, v: adj[np.ix_(u, v)]
-    )
+    oracles = BipartiteOracles(8, 8, noisy_independence, lambda u, v: adj[np.ix_(u, v)])
     wrapped = amplified_independence(oracles, 1e-4)
     wrong = 0
     for _ in range(200):
         if wrapped.independence_query([0], [0]) is not False:
             wrong += 1
     assert wrong == 0
-
-
-# -- bound right sets --------------------------------------------------------
-
-
-class RecordingBackend:
-    """Independence backend over a matrix that records every right set it
-    prepares and every predicate call."""
-
-    def __init__(self, adj):
-        self.adj = adj
-        self.prepared = []
-        self.calls = 0
-
-    def __call__(self, right):
-        self.prepared.append(right.copy())
-
-        def independent(left):
-            self.calls += 1
-            return not self.adj[np.ix_(left, right)].any()
-
-        return independent
-
-    def oracles(self):
-        left, right = self.adj.shape
-        return BipartiteOracles(left, right, self, lambda u, v: self.adj[np.ix_(u, v)])
-
-
-def test_raw_and_bound_right_sets_answer_alike():
-    gen = np.random.default_rng(31)
-    adj = gen.random((40, 70)) < 0.03
-    oracles = matrix_oracles(adj)
-    for _ in range(200):
-        # unsorted and with repeats on both sides
-        lsel = gen.integers(0, 40, size=int(gen.integers(0, 8)))
-        rsel = gen.integers(0, 70, size=int(gen.integers(0, 12)))
-        truth = not adj[np.ix_(lsel, rsel)].any()
-        bound = oracles.bind_right(rsel)
-        np.testing.assert_array_equal(bound.indices, np.sort(rsel))
-        assert oracles.independence_query(lsel, rsel) == truth
-        assert oracles.independence_query(lsel, bound) == truth
-    assert oracles.independence_calls == 400
-
-
-def test_out_of_range_right_index_fails_at_bind():
-    oracles = matrix_oracles(np.zeros((4, 6), dtype=bool))
-    for bad in ([0, 6], [-1, 2]):
-        with pytest.raises(IndexError):
-            oracles.bind_right(bad)
-        with pytest.raises(IndexError):
-            oracles.independence_query([0], bad)
-    bound = oracles.bind_right([5])
-    for bad in ([4], [-1]):
-        with pytest.raises(IndexError):
-            oracles.independence_query(bad, bound)
-    assert oracles.independence_calls == 0
-
-
-def test_value_bound_on_another_object_is_rebound():
-    wide = np.zeros((3, 10), dtype=bool)
-    narrow = np.zeros((3, 4), dtype=bool)
-    narrow[0, 1] = True
-    backend = RecordingBackend(narrow)
-    oracles = backend.oracles()
-    with pytest.raises(IndexError):
-        oracles.independence_query([0], matrix_oracles(wide).bind_right([7]))
-    assert oracles.independence_calls == 0
-    # in range for both: answered on this object's graph, prepared here
-    assert oracles.independence_query([0], matrix_oracles(wide).bind_right([1])) is False
-    assert len(backend.prepared) == 1
-    bound = oracles.bind_right([1])
-    assert oracles.bind_right(bound) is bound
-
-
-def test_bound_indices_are_read_only():
-    raw = np.array([3, 1, 2])
-    bound = matrix_oracles(np.zeros((2, 4), dtype=bool)).bind_right(raw)
-    with pytest.raises(ValueError):
-        bound.indices[0] = 0
-    raw[0] = 0  # the caller's array is not frozen
-    np.testing.assert_array_equal(bound.indices, [1, 2, 3])
-
-
-def test_amplified_wrapper_prepares_inner_right_set_once():
-    gen = np.random.default_rng(5)
-    backend = RecordingBackend(gen.random((20, 20)) < 0.1)
-    inner = backend.oracles()
-    wrapped = amplified_independence(inner, 0.05)
-    r = repetitions_for(0.05)
-    bound = wrapped.bind_right(np.arange(0, 20, 3))
-    assert len(backend.prepared) == 1
-    for k in range(1, 4):
-        wrapped.independence_query([k], bound)
-        assert inner.independence_calls == backend.calls == k * r
-    assert wrapped.independence_calls == 3
-    assert len(backend.prepared) == 1
-
-
-def test_matrix_oracles_without_left_rows_binds_wide_right_sets():
-    oracles = matrix_oracles(np.zeros((0, 100), dtype=bool))
-    bound = oracles.bind_right([0, 64, 99])
-    assert oracles.independence_query([], bound) is True
-    assert oracles.independence_calls == 1
 
 
 @pytest.mark.parametrize("n_left, n_right", [(600, 37), (0, 37), (600, 0), (256, 5), (257, 5)])
