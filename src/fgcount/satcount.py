@@ -20,9 +20,11 @@ tests.  All counts are arbitrary-precision integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Union
+from operator import index
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -160,36 +162,34 @@ def empty_system(n_vars: int) -> SparseXorSystem:
 class AugmentedFormula:
     """CNF plus XOR system plus a partial assignment (for self-reduction).
 
-    The assignment is also held as two bitmasks, ``assigned_mask`` and
-    ``value_bits`` (bit v-1 standing for x_v).  ``assign`` adds one entry
-    and shares the parent's ``cnf`` and ``xors``; consumers evaluate clauses
-    and rows against the masks.  Semantics: completions of the assignment
-    satisfying all clauses and rows.
+    The assignment is two bitmasks, bit v-1 standing for x_v:
+    ``assigned_mask`` marks the assigned variables and ``value_bits`` their
+    values.  ``assign`` ORs one bit into each and shares the parent's ``cnf``
+    and ``xors``, so building a formula costs the same at every depth;
+    consumers evaluate clauses and rows against the masks.  Semantics:
+    completions of the assignment satisfying all clauses and rows.
     """
 
     cnf: CnfFormula
     xors: SparseXorSystem
-    partial_assignment: Mapping[int, int] = field(default_factory=dict)
-    assigned_mask: int = field(init=False, repr=False, compare=False)
-    value_bits: int = field(init=False, repr=False, compare=False)
+    assigned_mask: int = 0
+    value_bits: int = 0
 
     def __post_init__(self) -> None:
         if self.cnf.n_vars != self.xors.n_vars:
             raise ValueError("CNF and XOR system disagree on variable count")
-        assignment = dict(self.partial_assignment)
-        assigned = values = 0
-        for v, b in assignment.items():
-            if not 1 <= v <= self.cnf.n_vars or b not in (0, 1):
-                raise ValueError(f"bad assignment entry {v}={b}")
-            assigned |= 1 << (v - 1)
-            values |= b << (v - 1)
-        object.__setattr__(self, "partial_assignment", assignment)
-        object.__setattr__(self, "assigned_mask", assigned)
-        object.__setattr__(self, "value_bits", values)
+        if self.assigned_mask >> self.cnf.n_vars or self.value_bits & ~self.assigned_mask:
+            raise ValueError("assignment masks out of range or inconsistent")
 
     @property
     def n_vars(self) -> int:
         return self.cnf.n_vars
+
+    @property
+    def partial_assignment(self) -> dict[int, int]:
+        """The assignment as {variable: bit}, read off the masks."""
+        assigned, values = self.assigned_mask, self.value_bits
+        return {p + 1: values >> p & 1 for p in range(self.cnf.n_vars) if assigned >> p & 1}
 
     def free_count(self) -> int:
         return self.cnf.n_vars - self.assigned_mask.bit_count()
@@ -200,11 +200,16 @@ class AugmentedFormula:
 
     def assign(self, var: int, value: int) -> "AugmentedFormula":
         """The same formula with x_var = value added to the assignment."""
-        if var in self.partial_assignment:
-            raise ValueError(f"variable {var} already assigned")
+        if not 1 <= var <= self.cnf.n_vars:
+            raise ValueError(f"variable {var} out of range for n={self.cnf.n_vars}")
         if value not in (0, 1):
             raise ValueError("assignment values are bits")
-        return AugmentedFormula(self.cnf, self.xors, {**self.partial_assignment, var: value})
+        bit = 1 << (index(var) - 1)  # a numpy integer would make the masks fixed-width
+        if self.assigned_mask & bit:
+            raise ValueError(f"variable {var} already assigned")
+        return AugmentedFormula(
+            self.cnf, self.xors, self.assigned_mask | bit, self.value_bits | (bit if value else 0)
+        )
 
 
 def augment(cnf: CnfFormula) -> AugmentedFormula:
@@ -297,8 +302,7 @@ def sample_hash(s: int, m: int, n: int, rng: RngStream) -> SparseXorSystem:
     rows = []
     for _ in range(m):
         support = np.sort(gen.choice(n, size=s, replace=False)) + 1
-        coeffs = gen.integers(0, 2, size=s)
-        rows.append(XorRow(tuple(int(v) for v in support), tuple(int(c) for c in coeffs), 0))
+        rows.append(XorRow(tuple(support.tolist()), tuple(gen.integers(0, 2, size=s).tolist()), 0))
     return SparseXorSystem(n_vars=n, sparsity_s=s, rows=tuple(rows))
 
 
@@ -308,13 +312,8 @@ def conjoin(cnf: CnfFormula, system: SparseXorSystem, rng: RngStream) -> Augment
         raise ValueError("dimension mismatch between formula and XOR system")
     gen = rng.generator()
     b = gen.integers(0, 2, size=len(system.rows))
-    rows = tuple(
-        XorRow(row.support, row.coeffs, int(bit)) for row, bit in zip(system.rows, b)
-    )
-    return AugmentedFormula(
-        cnf=cnf,
-        xors=SparseXorSystem(system.n_vars, system.sparsity_s, rows),
-    )
+    rows = tuple(XorRow(row.support, row.coeffs, bit) for row, bit in zip(system.rows, b.tolist()))
+    return AugmentedFormula(cnf, SparseXorSystem(system.n_vars, system.sparsity_s, rows))
 
 
 # --------------------------------------------------------------------------
@@ -412,26 +411,23 @@ def solution_codes(cnf: CnfFormula, *, cap: int = 26) -> np.ndarray:
     return np.concatenate(list(_satisfying_codes(augment(cnf), cap)))
 
 
-def _bit_reverse(x, n: int):
-    """The low n bits of ``x`` (an int or a uint64 array) in reverse order."""
-    out = x & 0
-    for i in range(n):
-        out |= (x >> i & 1) << (n - 1 - i)
-    return out
+def _bit_reverse(x: int, n: int) -> int:
+    """The n bits of ``x`` (0 <= x < 2^n) in reverse order."""
+    return int(format(x, f"0{n}b")[::-1], 2)
 
 
 class EnumerationDecider:
     """Exact oracle for descendants of one base CNF, backed by a solution table.
 
     Enumerates the base CNF's solutions once, then answers satisfiability of
-    any formula obtained from it by conjoining XOR rows and assigning
+    any formula over that CNF obtained by conjoining XOR rows and assigning
     variables — the query pattern of ``sparse_count`` driven by
-    ``sat_solve``.  The solutions that satisfy the query's XOR rows are kept,
-    bit-reversed and sorted, until a query arrives with another rows object
-    (``assign`` shares rows, so a whole self-reduction reuses one table).
-    Assignments of a variable prefix x_1..x_j reduce to a range lookup,
-    because their completions are contiguous in bit-reversed order; other
-    assignments filter the table directly.
+    ``sat_solve``; a formula over another CNF raises ``ValueError``.  For
+    each rows object (``assign`` shares rows, so a whole self-reduction
+    reuses one table) the solutions satisfying the rows are kept as a sorted
+    list of bit-reversed codes.  Assignments of a variable prefix x_1..x_j
+    reduce to one bisection, because their completions are contiguous in
+    bit-reversed order; other assignments filter the list.
     """
 
     def __init__(self, cnf: CnfFormula, *, cap: int = 26) -> None:
@@ -440,22 +436,23 @@ class EnumerationDecider:
         self.codes = solution_codes(cnf, cap=cap)
         self.calls = 0
         self._rows: Optional[tuple] = None  # the rows the table was filtered by
-        self._rev_sorted: Optional[np.ndarray] = None
+        self._table: list[int] = []
 
     def __call__(self, f: AugmentedFormula) -> bool:
+        if f.cnf is not self.cnf and f.cnf != self.cnf:
+            raise ValueError("formula is over a different CNF from the decider's table")
         self.calls += 1
         if f.xors.rows is not self._rows:
             self._rows = f.xors.rows
-            table = self.codes[_satisfied(self.codes, (), f.xors.masks)]
-            self._rev_sorted = np.sort(_bit_reverse(table, self.n))
-        j = f.assigned_mask.bit_count()
+            kept = self.codes[_satisfied(self.codes, (), f.xors.masks)]
+            self._table = sorted(_bit_reverse(c, self.n) for c in kept.tolist())
+        n, table, j = self.n, self._table, f.assigned_mask.bit_count()
         if f.assigned_mask == (1 << j) - 1:
-            key = _bit_reverse(f.value_bits, j) << (self.n - j)
-            bounds = np.array([key, key + (1 << (self.n - j))], dtype=np.uint64)
-            lo, hi = self._rev_sorted.searchsorted(bounds)
-            return bool(hi > lo)
-        mask, bits = (np.uint64(_bit_reverse(x, self.n)) for x in (f.assigned_mask, f.value_bits))
-        return bool(((self._rev_sorted & mask) == bits).any())
+            key = _bit_reverse(f.value_bits, j) << (n - j)
+            i = bisect_left(table, key)
+            return i < len(table) and table[i] < key + (1 << (n - j))
+        mask, bits = _bit_reverse(f.assigned_mask, n), _bit_reverse(f.value_bits, n)
+        return any(c & mask == bits for c in table)
 
 
 # --------------------------------------------------------------------------
@@ -576,17 +573,15 @@ def sat_solve(
     for m in range(0, n - t + 1):
         budget = _power_budget(t + delta * n / 2.0 + 2.0)
         copies = []
-        failed = False
         for i in range(1 << t):
             system = sample_hash(s_eff, m + t, n, derive_stream(rng, f"hash-{m}-{i}"))
             hashed = conjoin(formula, system, derive_stream(rng, f"rhs-{m}-{i}"))
             res = sparse_count(hashed, budget, oracle)
             if res is FAIL:
-                failed = True
                 break
             copies.append(res.value)
             budget -= res.value
-        if not failed:
+        else:
             return (1 << m) * sum(copies)
     return None
 
@@ -683,18 +678,22 @@ def parse_dimacs(text: str) -> AugmentedFormula:
         raise ValueError("missing 'p cnf' header")
     if len(clauses) != n_clauses:
         raise ValueError(f"header declares {n_clauses} clauses, found {len(clauses)}")
-    width = max((len(c) for c in clauses), default=1)
-    width = max(width, 1)
+    width = max([len(c) for c in clauses] + [1])
     cnf = CnfFormula(n_vars=n_vars, width_k=width, clauses=tuple(clauses))
-    sparsity = max((len(r.support) for r in rows), default=1)
-    system = SparseXorSystem(n_vars=n_vars, sparsity_s=max(sparsity, 1), rows=tuple(rows))
+    sparsity = max([len(r.support) for r in rows] + [1])
+    system = SparseXorSystem(n_vars=n_vars, sparsity_s=sparsity, rows=tuple(rows))
     return AugmentedFormula(cnf=cnf, xors=system)
 
 
 def write_dimacs(f: Union[CnfFormula, AugmentedFormula]) -> str:
-    """Serialize to DIMACS (plus x-lines when XOR rows are present)."""
+    """Serialize to DIMACS (plus x-lines when XOR rows are present).
+
+    DIMACS cannot hold a partial assignment: a formula with one is refused.
+    """
     if isinstance(f, CnfFormula):
         f = augment(f)
+    if f.assigned_mask:
+        raise ValueError("a partially assigned formula has no DIMACS form")
     lines = [f"p cnf {f.cnf.n_vars} {len(f.cnf.clauses)}"]
     for clause in f.cnf.clauses:
         lines.append(" ".join([str(l) for l in clause] + ["0"]))

@@ -1,5 +1,6 @@
 """Sparse counting, hashing, deciders, and the counting pipeline."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgcount import satcount
+from fgcount.generators import GeneratorSpec, generate
+from fgcount.instances import Problem
 from fgcount.rng import RngStream, derive_stream
 from fgcount.satcount import (
     FAIL,
@@ -69,6 +72,10 @@ def test_assigned_formula_counts_the_completions_of_the_assignment():
     assert g.partial_assignment == {1: 1}
     assert (g.assigned_mask, g.value_bits) == (0b1, 0b1)
     assert g.first_free_variable() == 2
+    h = g.assign(3, 0)
+    assert (h.assigned_mask, h.value_bits) == (0b101, 0b001)
+    assert h.partial_assignment == {1: 1, 3: 0}
+    assert AugmentedFormula(cnf, rows, h.assigned_mask, h.value_bits) == h
     # the two branches on a variable split the parent's solutions
     for var in (1, 2, 3):
         assert brute_force_count(f.assign(var, 0)) + brute_force_count(f.assign(var, 1)) == (
@@ -76,6 +83,27 @@ def test_assigned_formula_counts_the_completions_of_the_assignment():
         )
     with pytest.raises(ValueError):
         g.assign(1, 0)
+
+
+def test_assignment_masks_are_validated():
+    cnf = CnfFormula(3, 1, ())
+    rows = empty_system(3)
+    for assigned, values in ((0b001, 0b010), (0b1000, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            AugmentedFormula(cnf, rows, assigned, values)
+    with pytest.raises(ValueError):
+        AugmentedFormula(cnf, empty_system(2))
+    f = AugmentedFormula(cnf, rows, 0b111, 0b101)
+    assert f.partial_assignment == {1: 1, 2: 0, 3: 1}
+    assert f.free_count() == 0 and f.first_free_variable() is None
+    g = augment(cnf).assign(2, 1)
+    for var, value in ((0, 1), (4, 1), (1, 2), (2, 0), (2, 1)):
+        with pytest.raises(ValueError):
+            g.assign(var, value)
+    # numpy integers give the same Python-int masks, beyond 64 variables too
+    wide = augment(CnfFormula(70, 1, ()))
+    assert wide.assign(np.int64(70), 1) == wide.assign(70, 1)
+    assert type(g.assign(np.int64(3), 1).assigned_mask) is int
 
 
 def test_assignment_can_make_a_formula_unsatisfiable():
@@ -308,6 +336,16 @@ def test_enumeration_decider_handles_non_prefix_assignments():
     assert enum(aug) == decide_pi_ks(aug)
 
 
+def test_enumeration_decider_refuses_a_formula_over_another_cnf():
+    enum = EnumerationDecider(CnfFormula(2, 1, ((1,),)))
+    other = augment(CnfFormula(2, 1, ((-1,),))).assign(1, 1)  # unsatisfiable
+    with pytest.raises(ValueError):
+        enum(other)
+    # an equal CNF built separately is the same formula
+    assert enum(augment(CnfFormula(2, 1, ((1,),))).assign(1, 1)) is True
+    assert enum.calls == 1
+
+
 def test_solution_codes_agree_with_count():
     gen = np.random.default_rng(105)
     for _ in range(20):
@@ -401,6 +439,39 @@ def test_all_levels_failing_returns_no_estimate():
     assert value is None
 
 
+def test_counting_runs_are_pinned():
+    # Values and oracle-call counts of fixed runs: a refactor that keeps the
+    # counter's behaviour keeps every one of them exactly.
+    cfg = SatSolveConfig(brute_force_constant=0.0)
+    params = SatSolveParams.for_instance(16, 0.3, 0.3)
+    pinned = {
+        (1, 1): (926, 23565), (1, 2): (907, 22809),
+        (3, 1): (876, 23063), (3, 2): (955, 24381),
+        (11, 1): (885, 22466), (11, 2): (892, 22756),
+    }
+    for (spec_seed, seed), expected in pinned.items():
+        # 16-variable 3-CNFs with 700-1000 solutions, as in the benchmark
+        f = generate(GeneratorSpec(problem=Problem.CNF, n=16, clause_count=28, seed=spec_seed))
+        enum = EnumerationDecider(f)
+        value = sat_solve(f, params, enum, RngStream(seed), config=cfg)
+        assert (value, enum.calls) == expected
+    f = generate(GeneratorSpec(problem=Problem.CNF, n=20, clause_count=80, seed=5))
+    assert approx_count_cnf(f, 0.4, 0.3, RngStream(7), config=cfg) == 36  # exact 39
+    # the pairs of test_sparse_count_matches_exhaustive_on_random_pairs
+    gen = np.random.default_rng(90)
+    records = []
+    for _ in range(120):
+        n = int(gen.integers(1, 13))
+        f = augment(random_cnf(gen, n, int(gen.integers(0, 3 * n + 1))))
+        oracle = CountingOracle(oracle_dpll)
+        result = sparse_count(f, int(gen.integers(0, 2**n + 2)), oracle)
+        records.append((None if result is FAIL else result.value, oracle.calls))
+    assert sum(calls for _, calls in records) == 43103
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "d5889b91bc54521cbee649cbe9dbe50d15e4d12aefb9d83bfeb276c1abdb3cc4"
+    )
+
+
 # -- approx_count_cnf --------------------------------------------------------
 
 
@@ -492,6 +563,14 @@ def test_dimacs_round_trip_augmented():
     g = parse_dimacs(write_dimacs(aug))
     assert g.cnf.clauses == f.clauses
     assert g.xors.rows == rows.rows
+
+
+def test_dimacs_refuses_a_partial_assignment():
+    f = augment(CnfFormula(2, 2, ((1, 2),)))
+    assert brute_force_count(f.assign(1, 0)) == 1
+    with pytest.raises(ValueError):
+        write_dimacs(f.assign(1, 0))
+    assert brute_force_count(parse_dimacs(write_dimacs(f))) == 3
 
 
 def test_dimacs_rejects_missing_header():
