@@ -16,7 +16,6 @@ and the ``fgcount`` CLI.
 
 from .rng import RngStream, derive_stream
 from .oracles import (
-    AmplifiedDecider,
     BipartiteOracles,
     amplify,
     amplified_independence,

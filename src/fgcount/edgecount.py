@@ -229,7 +229,7 @@ def find_core(
         # Y is all of U_X; every edge incident to X has its left endpoint in Y.
         return ExactCount(oracles.count_edges_incident(Y, X))
 
-    counts = oracles.adjacency_block(Y, X).sum(axis=0)
+    counts = oracles.neighbor_counts(Y, X)
     threshold = xi * params.fcc / 2.0
     S = X[counts >= threshold]
     sketch = DegreeSketch(sample=Y, right_vertices=X, neighbor_counts=counts)

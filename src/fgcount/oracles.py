@@ -9,18 +9,19 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
 
 ``BipartiteOracles`` is built from exactly two callables, one per kind of
 query: ``independence(left, right)`` and ``adjacency_block(left, right)``,
-which answers adjacency for a whole block of pairs at once.  Single-pair and
-single-row adjacency queries are that block on one row; each probed pair
-counts as one adjacency query, so the batching is purely an evaluation
-detail.  The object checks every index against the side sizes and keeps the
-per-object query counters.  Vertex subsets are passed as sorted index arrays
-per side; the contract is on set contents, not order.
+which answers adjacency for a block of pairs.  A backend only ever sees one
+block of at most ``_block_rows(len(right))`` left rows, and adjacency sums
+stream block by block, never holding the whole left x right block.  Single
+pairs and rows are that block on one row; each probed pair counts as one
+adjacency query, so the batching is purely an evaluation detail.  The
+object checks every index against the side sizes and keeps the per-object
+query counters.  Vertex subsets are passed as integer index arrays per
+side; the contract is on set contents, not order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "BipartiteOracles",
     "matrix_oracles",
     "edge_set_oracles",
-    "AmplifiedDecider",
     "amplify",
     "repetitions_for",
     "amplified_independence",
@@ -37,11 +37,24 @@ __all__ = [
 ]
 
 
+# A backend is handed at most _CHUNK rows at a time and, for wide rows, about
+# _BLOCK_PAIRS entries: together they bound every temporary a block makes.
+_CHUNK = 256
+_BLOCK_PAIRS = 1 << 19
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block when each row holds ``width`` entries."""
+    return max(1, min(_CHUNK, _BLOCK_PAIRS // max(width, 1)))
+
+
 def _as_index_array(indices) -> np.ndarray:
-    arr = np.asarray(indices, dtype=np.int64)
+    arr = np.asarray(indices)
+    if arr.dtype.kind not in "iu" and arr.size:  # np.asarray([]) is float64
+        raise TypeError(f"vertex indices must be integers, not {arr.dtype}")
     if arr.ndim != 1:
         raise ValueError("vertex subsets must be one-dimensional index sequences")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 class BipartiteOracles:
@@ -50,10 +63,11 @@ class BipartiteOracles:
     The graph is given by two callables.  ``independence`` receives two
     sorted int arrays (left indices, right indices) and must return True
     iff no edge of the hidden graph joins them.  ``adjacency_block``
-    receives two index arrays and returns the boolean adjacency matrix of
-    left x right.  The single-pair and single-row adjacency entry points
-    are that block on one row; every probed pair counts as one adjacency
-    query.  All indices are checked against the side sizes first.
+    receives one block of at most ``_block_rows(len(right))`` left rows and
+    returns its adjacency matrix (any nonzero entry is an edge).  The
+    single-pair and single-row adjacency entry points are that block on one
+    row; every probed pair counts as one adjacency query.  All indices are
+    checked against the side sizes first.
 
     Counters are plain attributes mutated under the GIL; concurrent trials
     should each own their oracle object (counters are deliberately not
@@ -105,7 +119,11 @@ class BipartiteOracles:
         right = _as_index_array(right)
         self._check_bounds(left, right)
         self.adjacency_calls += int(left.size) * int(right.size)
-        return np.asarray(self._adjacency_block(left, right), dtype=bool)
+        out = np.empty((left.size, right.size), dtype=bool)
+        step = _block_rows(right.size)
+        for start in range(0, left.size, step):
+            out[start : start + step] = self._adjacency_block(left[start : start + step], right)
+        return out
 
     def adjacency_query(self, u: int, v: int) -> bool:
         """True iff (u, v) is an edge. Counts as one query."""
@@ -122,40 +140,45 @@ class BipartiteOracles:
         """Adjacency matrix of ``left`` x ``right``; len(left)*len(right) queries."""
         return self._block(left, right)
 
-    def count_edges_incident(self, left, right) -> int:
-        """Exact number of edges between the two index sets (block sum)."""
+    def neighbor_counts(self, left, right) -> np.ndarray:
+        """Neighbours in ``left`` of each vertex of ``right`` (int64), summed per block."""
         left = _as_index_array(left)
         right = _as_index_array(right)
-        if left.size == 0 or right.size == 0:
-            return 0
-        return int(self.adjacency_block(left, right).sum())
+        counts = np.zeros(right.size, dtype=np.int64)
+        step = _block_rows(right.size)
+        for start in range(0, left.size, step):
+            counts += self.adjacency_block(left[start : start + step], right).sum(axis=0)
+        return counts
+
+    def count_edges_incident(self, left, right) -> int:
+        """Exact number of edges between the two index sets (streamed block sums)."""
+        return int(self.neighbor_counts(left, right).sum())
 
 
 def _pack_rows(matrix: np.ndarray) -> np.ndarray:
-    """Pack a boolean or 0/1 matrix row-wise into uint64 words (zero padded)."""
+    """Pack a boolean or 0/1 matrix row-wise into uint64 words (bytes zero padded)."""
     n_rows, n_cols = matrix.shape
     words = max(1, (n_cols + 63) // 64)
-    padded = np.zeros((n_rows, words * 64), dtype=matrix.dtype)  # no cast on copy
-    padded[:, :n_cols] = matrix
-    packed_bytes = np.packbits(padded, axis=1, bitorder="little")
-    return packed_bytes.view(np.uint64).reshape(n_rows, words)
+    packed = np.zeros((n_rows, words * 8), dtype=np.uint8)
+    packed[:, : (n_cols + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     """Oracle pair backed by an explicit |U| x |V| boolean matrix.
 
     Used for synthetic graphs and as the ground-truth oracle in tests.
-    Independence queries scan left rows in blocks with early exit; a packed
-    bit representation keeps each probe cheap even for wide right sides.
-    Adjacency blocks are gathered 256 rows at a time, so no temporary grows
-    with the number of left rows.
+    Independence queries scan packed left rows in blocks with early exit; a
+    packed bit representation keeps each probe cheap even for wide right
+    sides.  Adjacency blocks are plain gathers of the block they are handed.
     """
     adj = np.ascontiguousarray(np.asarray(adjacency, dtype=bool))
     if adj.ndim != 2:
         raise ValueError("adjacency must be a 2-D boolean matrix")
     left_size, right_size = adj.shape
-    packed = _pack_rows(adj) if left_size else np.zeros((0, 1), dtype=np.uint64)
+    packed = _pack_rows(adj)
     words = packed.shape[1]
+    rows = _block_rows(words)
 
     def right_mask(right: np.ndarray) -> np.ndarray:
         mask = np.zeros(words * 64, dtype=bool)
@@ -166,20 +189,15 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
         if left.size == 0 or right.size == 0:
             return True
         rmask = right_mask(right)
-        for start in range(0, left.size, 256):
-            chunk = packed[left[start : start + 256]]
-            if (chunk & rmask).any():
+        for start in range(0, left.size, rows):
+            if (packed[left[start : start + rows]] & rmask).any():
                 return False
         return True
 
-    def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        out = np.empty((left.size, right.size), dtype=bool)
-        for start in range(0, left.size, 256):
-            rows = left[start : start + 256]
-            out[start : start + rows.size] = adj.take(rows, axis=0).take(right, axis=1)
-        return out
-
-    return BipartiteOracles(left_size, right_size, independence, adjacency_block)
+    return BipartiteOracles(
+        left_size, right_size, independence,
+        lambda left, right: adj.take(left, axis=0).take(right, axis=1),
+    )
 
 
 def edge_set_oracles(
@@ -214,35 +232,21 @@ def repetitions_for(target_failure: float, constant: float = AMPLIFY_CONSTANT) -
     return max(r, 1)
 
 
-@dataclass
-class AmplifiedDecider:
-    """Majority vote over repeated calls of a randomized boolean procedure.
-
-    ``repetitions`` is odd so that the majority is well defined.  For a
-    deterministic base the vote trivially reproduces the base's answer.
-    """
-
-    base: Callable[..., bool]
-    repetitions: int
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 1 or self.repetitions % 2 == 0:
-            raise ValueError("repetitions must be a positive odd integer")
-
-    def __call__(self, *args, **kwargs) -> bool:
-        trues = sum(1 for _ in range(self.repetitions) if self.base(*args, **kwargs))
-        return trues > self.repetitions // 2
-
-
 def amplify(
     base: Callable[..., bool],
     target_failure: float,
     *,
     constant: float = AMPLIFY_CONSTANT,
-) -> AmplifiedDecider:
-    """Wrap a decider failing with probability <= 1/3 to fail <= target_failure."""
+) -> Callable[..., bool]:
+    """Majority of an odd number of calls of ``base``, a decider failing with
+    probability <= 1/3, so that the vote fails with probability <= target_failure."""
     r = repetitions_for(target_failure, constant)
-    return AmplifiedDecider(base=base, repetitions=r)
+
+    def majority(*args, **kwargs) -> bool:
+        trues = sum(1 for _ in range(r) if base(*args, **kwargs))
+        return trues > r // 2
+
+    return majority
 
 
 def amplified_independence(

@@ -14,8 +14,8 @@ the instance already holds: the packed bit words for OV, a sorted copy of
 C for 3SUM, the adjacency and weight matrices plus the B–C edge list for
 NWT.  The baseline decider (is there a witness?), the exact counter (how
 many?), the adjacency queries and the built-in independence query all
-evaluate that kernel, in blocks of at most 256 left rows and about 2^19
-pairs.  With the built-in decider an independence query is therefore
+evaluate that kernel, in blocks sized by the one block rule in
+``oracles``.  With the built-in decider an independence query is therefore
 answered on the parent's data, without building a sub-instance.  A
 caller-supplied ``decision=`` procedure keeps the paper's contract: it
 receives the materialized sub-instance and decides whether it has a
@@ -44,7 +44,7 @@ from .edgecount import (
     EdgeCountStats,
     edge_count,
 )
-from .oracles import BipartiteOracles, _pack_rows
+from .oracles import BipartiteOracles, _block_rows, _pack_rows
 from .rng import RngStream, derive_stream
 
 __all__ = [
@@ -242,12 +242,6 @@ class CountStats:
 # Witness kernels.
 # --------------------------------------------------------------------------
 
-# A kernel block covers at most _CHUNK left rows and, for wide right sides,
-# about _BLOCK_PAIRS pairs: together they bound every temporary a block makes.
-_CHUNK = 256
-_BLOCK_PAIRS = 1 << 19
-
-
 @dataclass(frozen=True)
 class _Witnesses:
     """One problem's hidden bipartite graph, evaluated block by block.
@@ -256,7 +250,8 @@ class _Witnesses:
     block of witness counts of those pairs: 0/1 for OV and NWT, the
     multiplicity of a + b in C for 3SUM.  It runs on data the instance
     already holds, so the decider, the exact counter, adjacency and the
-    built-in independence query are all this one test.
+    built-in independence query are all this one test, run on blocks of
+    left rows sized by ``oracles._block_rows``.
     """
 
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -264,38 +259,33 @@ class _Witnesses:
     right_size: int
 
     def _blocks(self, left: np.ndarray, right: np.ndarray):
-        rows = max(1, min(_CHUNK, _BLOCK_PAIRS // max(right.size, 1)))
-        for start in range(0, left.size, rows):
-            yield start, self.kernel(left[start : start + rows], right)
+        step = _block_rows(right.size)
+        for start in range(0, left.size, step):
+            yield self.kernel(left[start : start + step], right)
 
     def _all(self) -> tuple[np.ndarray, np.ndarray]:
         return np.arange(self.left_size), np.arange(self.right_size)
 
     def has_witness(self, left: np.ndarray, right: np.ndarray) -> bool:
         """True iff some pair in left x right is a witness (first hit exits)."""
-        return any(block.any() for _, block in self._blocks(left, right))
+        return any(block.any() for block in self._blocks(left, right))
 
     def decide(self) -> bool:
         return self.has_witness(*self._all())
 
     def count(self) -> int:
-        return sum(int(block.sum()) for _, block in self._blocks(*self._all()))
+        return sum(int(block.sum()) for block in self._blocks(*self._all()))
 
     def oracles(
         self, independence: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
     ) -> BipartiteOracles:
-        """Oracle pair with kernel adjacency; independence defaults to the kernel."""
+        """Oracle pair whose block callable is the kernel (nonzero = edge);
+        independence defaults to the kernel too."""
         if independence is None:
             def independence(left: np.ndarray, right: np.ndarray) -> bool:
                 return not self.has_witness(left, right)
 
-        def adjacency_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-            out = np.empty((left.size, right.size), dtype=bool)
-            for start, block in self._blocks(left, right):
-                out[start : start + len(block)] = block
-            return out
-
-        return BipartiteOracles(self.left_size, self.right_size, independence, adjacency_block)
+        return BipartiteOracles(self.left_size, self.right_size, independence, self.kernel)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Oracle contracts: independence vs explicit edges, counters, amplification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fgcount.oracles import (
     BipartiteOracles,
+    _block_rows,
+    _pack_rows,
     amplified_independence,
     amplify,
     edge_set_oracles,
@@ -111,10 +115,17 @@ def test_out_of_range_adjacency_rejected(u, v):
 
 
 def test_amplify_deterministic_base_identity():
-    decider = amplify(lambda x: x > 0, 0.001)
-    assert decider.repetitions % 2 == 1
+    calls = []
+
+    def base(x):
+        calls.append(x)
+        return x > 0
+
+    decider = amplify(base, 0.001)
     for x in (-3, -1, 1, 5):
+        calls.clear()
         assert decider(x) == (x > 0)
+        assert len(calls) % 2 == 1
 
 
 def test_amplify_high_target_degenerates_to_single_call():
@@ -125,7 +136,6 @@ def test_amplify_high_target_degenerates_to_single_call():
         return True
 
     decider = amplify(base, 0.5)
-    assert decider.repetitions == 1
     assert decider() is True
     assert len(calls) == 1
 
@@ -207,12 +217,106 @@ def test_amplified_wrapper_fixes_a_noisy_decider():
     assert wrong == 0
 
 
-@pytest.mark.parametrize("n_left, n_right", [(600, 37), (0, 37), (600, 0), (256, 5), (257, 5)])
+@pytest.mark.parametrize(
+    "n_left, n_right", [(600, 37), (0, 37), (600, 0), (256, 5), (257, 5), (513, 90)]
+)
 def test_chunked_adjacency_block_matches_fancy_indexing(n_left, n_right):
     gen = np.random.default_rng(n_left + n_right)
     adj = gen.random((700, 90)) < 0.2
     left = gen.integers(0, 700, size=n_left)  # crosses 256-row chunks, with repeats
     right = gen.integers(0, 90, size=n_right)
-    block = matrix_oracles(adj).adjacency_block(left, right)
+    oracles = matrix_oracles(adj)
+    expected = adj[np.ix_(left, right)]
+    block = oracles.adjacency_block(left, right)
     assert block.shape == (n_left, n_right)
-    np.testing.assert_array_equal(block, adj[np.ix_(left, right)])
+    np.testing.assert_array_equal(block, expected)
+    counts = oracles.neighbor_counts(left, right)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, expected.sum(axis=0))
+    assert oracles.count_edges_incident(left, right) == int(expected.sum())
+    assert oracles.adjacency_calls == 3 * n_left * n_right
+
+
+def test_backend_sees_one_block_at_a_time():
+    # A right side past 2^11 entries lowers the row cap below 256; every
+    # entry point hands the backend blocks within the cap, and the pairs it
+    # sees add up to the adjacency counter.
+    gen = np.random.default_rng(31)
+    adj = gen.random((700, 3000)) < 0.01
+    seen = []
+
+    def backend(left, right):
+        seen.append((left.size, right.size))
+        return adj[np.ix_(left, right)]
+
+    oracles = BipartiteOracles(700, 3000, lambda left, right: True, backend)
+    left, right = np.arange(700), np.arange(3000)
+    assert _block_rows(right.size) < 256
+    np.testing.assert_array_equal(oracles.adjacency_block(left, right), adj)
+    np.testing.assert_array_equal(oracles.neighbor_counts(left, right), adj.sum(axis=0))
+    assert oracles.count_edges_incident(left[:300], right[:40]) == int(adj[:300, :40].sum())
+    oracles.adjacency_row(5, right)
+    oracles.adjacency_query(6, 7)
+    assert max(rows for rows, cols in seen if cols == right.size) == _block_rows(right.size)
+    assert all(rows <= _block_rows(cols) for rows, cols in seen)
+    assert sum(rows * cols for rows, cols in seen) == oracles.adjacency_calls
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_oracles_build_makes_no_padded_copy():
+    adj = np.random.default_rng(40).random((4000, 2000)) < 0.1
+    assert _peak_bytes(lambda: matrix_oracles(adj)) < adj.nbytes / 2
+
+
+def test_count_edges_incident_streams_its_blocks():
+    adj = np.random.default_rng(41).random((4000, 2000)) < 0.1
+    oracles = matrix_oracles(adj)
+    left, right = np.arange(4000), np.arange(2000)
+    counted = []
+    peak = _peak_bytes(lambda: counted.append(oracles.count_edges_incident(left, right)))
+    assert counted == [int(adj.sum())]
+    assert peak < adj.nbytes / 2
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 130])
+def test_pack_rows_matches_bit_loop(width, dtype, rows):
+    matrix = (np.random.default_rng(width).random((rows, width)) < 0.5).astype(dtype)
+    expected = np.zeros((rows, max(1, (width + 63) // 64)), dtype=np.uint64)
+    for i in range(rows):
+        for j in range(width):
+            if matrix[i, j]:
+                expected[i, j // 64] |= np.uint64(1 << (j % 64))
+    packed = _pack_rows(matrix)
+    assert packed.dtype == np.uint64
+    np.testing.assert_array_equal(packed, expected)
+
+
+@pytest.mark.parametrize("bad", [np.ones(3, dtype=bool), [True], [1.7], np.array([0.0, 1.0])])
+def test_non_integer_indices_rejected(bad):
+    # A boolean mask or a float array is not a list of vertex indices.
+    oracles = matrix_oracles(np.eye(3, dtype=bool))
+    queries = (
+        oracles.independence_query, oracles.adjacency_block,
+        oracles.neighbor_counts, oracles.count_edges_incident,
+    )
+    for query in queries:
+        with pytest.raises(TypeError):
+            query(bad, [1])
+        with pytest.raises(TypeError):
+            query([1], bad)
+    with pytest.raises(TypeError):
+        oracles.adjacency_row(1, bad)
+    assert (oracles.independence_calls, oracles.adjacency_calls) == (0, 0)
+    # An empty list is float64 to numpy but still the empty subset.
+    assert oracles.count_edges_incident([], [0, 1]) == 0
+    assert oracles.independence_query([], [])

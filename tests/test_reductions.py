@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fgcount import reductions
+from fgcount import oracles as oracles_module
+from fgcount.edgecount import EdgeCountConfig
+from fgcount.generators import GeneratorSpec, generate
+from fgcount.instances import Problem
 from fgcount.oracles import repetitions_for
 from fgcount.reductions import (
     CountStats,
@@ -348,7 +351,7 @@ def test_count_nwt_trivial_and_exact_fallback():
 
 def test_kernels_agree_with_loops_across_block_boundaries(monkeypatch):
     # Blocks of 5 left rows: every derived query crosses block boundaries.
-    monkeypatch.setattr(reductions, "_CHUNK", 5)
+    monkeypatch.setattr(oracles_module, "_CHUNK", 5)
     gen = np.random.default_rng(224)
     ts = ThreeSumInstance(
         gen.integers(-20, 21, size=23), gen.integers(-20, 21, size=9),
@@ -470,8 +473,6 @@ def test_noisy_decision_engages_amplification():
     # All-ones vectors: no orthogonal pair anywhere.  A decider that lies
     # 20% of the time must be majority-amplified back to the truth; every
     # outer independence query costs an odd number r of decider calls.
-    from fgcount.edgecount import EdgeCountConfig
-
     gen = np.random.default_rng(240)
     inst = OvInstance(np.ones((50, 4), dtype=np.uint8), np.ones((150, 4), dtype=np.uint8))
 
@@ -491,3 +492,41 @@ def test_noisy_decision_engages_amplification():
     assert r % 2 == 1
     assert stats.independence_calls % r == 0
     assert stats.independence_calls >= r
+
+
+# -- pinned runs ----------------------------------------------------------------
+
+
+def _pinned_run(count, inst, seed, **kwargs):
+    stats = CountStats()
+    value = count(inst, 0.25, RngStream(seed), stats=stats, **kwargs)
+    paths = [(e.exit_branch, e.halvings, e.removals) for e in stats.edgecount]
+    return value, stats.independence_calls, stats.adjacency_calls, paths
+
+
+def test_reduction_runs_are_pinned():
+    # Fixed-seed estimator runs through each kernel, pinned to recorded
+    # values: a change to how blocks are formed must reproduce every count,
+    # query and branch.
+    first_pass = [("first-pass", 0, 0)]
+    for seed, expected in ((1, (69_127, 2_057, 4_175_872)), (2, (61_603, 2_059, 4_171_776))):
+        ov = generate(GeneratorSpec(problem=Problem.OV, n=4096, d=64, density=0.25, seed=seed))
+        assert _pinned_run(count_ov, ov, 10 + seed) == (*expected, first_pass)
+
+    # 3210 B-C edges: the 2^19-pair cap cuts blocks to 163 rows of A.
+    nwt = generate(GeneratorSpec(
+        problem=Problem.NWT, n=460, parts=(300, 80, 80), density=0.5, weight_bound=50, seed=31,
+    ))
+    assert nwt_oracles(nwt).right_size == 3210
+    config = EdgeCountConfig(exact_cutoff=1000)
+    for decision in (None, decide_nwt):
+        run = _pinned_run(count_nwt, nwt, 13, config=config, decision=decision)
+        assert run == (117_674, 300, 963_000, first_pass)
+
+    gen = np.random.default_rng(14)  # duplicate C: three multiplicity layers
+    ts = ThreeSumInstance(
+        gen.integers(-300, 301, 400), gen.integers(-300, 301, 400),
+        gen.integers(-100, 101, 60) // 3 * 3,
+    )
+    run = _pinned_run(count_3sum, ts, 15, config=EdgeCountConfig(exact_cutoff=500))
+    assert run == (14_346, 1_251, 448_800, 3 * first_pass)
