@@ -4,12 +4,14 @@ Exit codes: 0 on success, 2 when no estimate was produced or a count the
 command needs is beyond an enumeration cap (``CAP_EXCEEDED: <reason>``: the
 estimate itself, ``--exact``'s exact count after the estimate, or
 ``bench``'s exact reference before any trial), 3 when the estimator
-exceeded its iteration budget, 1 on usage or I/O errors.  The environment
+exceeded its iteration budget, 1 on usage or I/O errors (click's own usage
+errors included) and on malformed instance files.  The environment
 variable FGCOUNT_SEED, when set, overrides any --seed flag.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -59,7 +61,29 @@ def _check_unit_interval(name: str, value: float) -> None:
         _usage_error(f"{name} must lie in (0,1), got {value}")
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_exit_code():
+    """Give click's usage errors EXIT_USAGE; click's own code 2 is NO_ESTIMATE here."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USAGE
+        raise
+
+
+class _Main(click.Group):
+    """The command group; usage errors, its own or a command's, exit EXIT_USAGE."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exit_code():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exit_code():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Approximate counting via decision oracles."""
 
@@ -212,6 +236,8 @@ def bench(config_file, out):
     except CapExceeded as exc:  # the exact reference count, before any trial
         click.echo(f"CAP_EXCEEDED: {exc}")
         sys.exit(EXIT_NO_ESTIMATE)
+    except (OSError, ValueError) as exc:  # loading or generating the instance
+        _usage_error(str(exc))
     text = records_to_csv(records) + summary_line(records, cfg.eps) + "\n"
     if out:
         Path(out).write_text(text)

@@ -37,11 +37,9 @@ from .oracles import BipartiteOracles, amplified_independence
 from .rng import RngStream, derive_stream
 
 __all__ = [
-    "CoreParams",
     "ExactCount",
     "Core",
     "FindCoreOutcome",
-    "DegreeSketch",
     "CoreClass",
     "classify_core",
     "find_core",
@@ -62,39 +60,6 @@ class IterationBudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CoreParams:
-    """Derived quantities shared by the core-finding steps.
-
-    ``fcc`` is the size of the left-vertex sample used to estimate degrees:
-    ceil(24 ln(n) / xi).  Note it can vastly exceed the actual left side for
-    small xi, in which case core finding degenerates to exact counting.
-    """
-
-    xi: float
-    n: int
-    fcc: int
-
-    @classmethod
-    def compute(cls, xi: float, n: int, factor: float = 24.0) -> "CoreParams":
-        if not 0.0 < xi < 1.0:
-            raise ValueError(f"xi must lie in (0,1), got {xi}")
-        if n < 2:
-            raise ValueError(f"need at least two vertices, got n={n}")
-        fcc = math.ceil(factor * math.log(n) / xi)
-        return cls(xi=xi, n=n, fcc=fcc)
-
-
-@dataclass(frozen=True)
-class DegreeSketch:
-    """Left-vertex sample Y plus, for each surviving right vertex, its
-    number of neighbours inside Y (the degree proxy the core is cut from)."""
-
-    sample: np.ndarray  # left indices, |Y| <= fcc, all non-isolated w.r.t. X
-    right_vertices: np.ndarray  # the X the sketch was taken against
-    neighbor_counts: np.ndarray  # aligned with right_vertices, values <= |Y|
-
-
-@dataclass(frozen=True)
 class ExactCount:
     """Core finding short-circuited: the exact incident edge count eb(X)."""
 
@@ -106,7 +71,6 @@ class Core:
     """Candidate high-degree set S of X (a xi-core with probability 1-3/n)."""
 
     vertices: np.ndarray
-    sketch: Optional[DegreeSketch] = None
 
 
 FindCoreOutcome = Union[ExactCount, Core]
@@ -184,20 +148,25 @@ def find_core(
     search over the independence oracle, peeling off non-isolated vertices
     one at a time until either fcc = ceil(24 ln n / xi) of them are found
     (they form a uniform sample Y of U_X) or the ordering is exhausted
-    (U_X itself was smaller than fcc, so again count exactly).  Each binary
-    search runs over the window after the last vertex found: everything
-    before it is located or certified isolated from X, so its queries are
-    order[lo:k] against X for the window start lo.  In the
-    sampled case, the returned set S collects the right vertices adjacent
-    to at least xi*fcc/2 members of Y; with probability >= 1 - 3/n it
-    contains every vertex of degree >= xi |U_X| and nothing of degree
-    below xi |U_X| / 24.
+    (U_X itself was smaller than fcc, so again count exactly).  For small
+    xi, fcc can vastly exceed the left side, and then core finding always
+    degenerates to exact counting.  Each binary search runs over the window
+    after the last vertex found: everything before it is located or
+    certified isolated from X, so its queries are order[lo:k] against X for
+    the window start lo.  In the sampled case, the returned set S collects
+    the right vertices adjacent to at least xi*fcc/2 members of Y; with
+    probability >= 1 - 3/n it contains every vertex of degree >= xi |U_X|
+    and nothing of degree below xi |U_X| / 24.
     """
     X = np.asarray(X, dtype=np.int64)
     if X.size == 0:
         raise ValueError("find_core requires a nonempty right-side set")
-    params = CoreParams.compute(xi, oracles.total_vertices, factor)
-    n = params.n
+    if not 0.0 < xi < 1.0:
+        raise ValueError(f"xi must lie in (0,1), got {xi}")
+    n = oracles.total_vertices
+    if n < 2:
+        raise ValueError(f"need at least two vertices, got n={n}")
+    fcc = math.ceil(factor * math.log(n) / xi)
 
     all_left = np.arange(oracles.left_size, dtype=np.int64)
 
@@ -213,7 +182,7 @@ def find_core(
     # each search only queries the window order[lo:k]; order[lo:lo] is empty.
     hit_positions: list[int] = []
     lo = 0
-    while len(hit_positions) < params.fcc and lo < t:
+    while len(hit_positions) < fcc and lo < t:
         k = _gallop_max_true(
             lambda k: oracles.independence_query(order[lo:k], X), lo, t
         )
@@ -221,7 +190,7 @@ def find_core(
             break
         hit_positions.append(k)
         lo = k + 1
-    exhausted = len(hit_positions) < params.fcc
+    exhausted = len(hit_positions) < fcc
 
     Y = order[np.asarray(hit_positions, dtype=np.int64)] if hit_positions else np.empty(0, dtype=np.int64)
 
@@ -230,10 +199,7 @@ def find_core(
         return ExactCount(oracles.count_edges_incident(Y, X))
 
     counts = oracles.neighbor_counts(Y, X)
-    threshold = xi * params.fcc / 2.0
-    S = X[counts >= threshold]
-    sketch = DegreeSketch(sample=Y, right_vertices=X, neighbor_counts=counts)
-    return Core(vertices=S, sketch=sketch)
+    return Core(vertices=X[counts >= xi * fcc / 2.0])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 These are the reference oracles the statistical tests compare against.
 Caps bound the enumeration cost (the 3SUM/NWT caps are expressed as the
 work of a cubic scan at 400 elements; OV and CNF cap the obvious dimension)
-and raise ``CapExceeded`` rather than silently grinding.
+and raise ``satcount.CapExceeded`` rather than silently grinding.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .reductions import (
 )
 from .satcount import AugmentedFormula, CapExceeded, CnfFormula, augment, brute_force_count
 
-__all__ = ["CapExceeded", "exact_count", "CUBIC_WORK_CAP", "OV_SIZE_CAP", "CNF_VAR_CAP"]
+__all__ = ["exact_count", "CUBIC_WORK_CAP", "OV_SIZE_CAP", "CNF_VAR_CAP"]
 
 CUBIC_WORK_CAP = 400**3  # enumeration work equivalent to a cubic scan at n=400
 OV_SIZE_CAP = 8192

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -165,7 +164,6 @@ def run_trials(
     master: RngStream,
     *,
     exact: Optional[int] = None,
-    workers: int = 1,
 ) -> list[TrialRecord]:
     """Run seeded trials; per-trial failures become outcomes, not aborts."""
 
@@ -196,14 +194,7 @@ def run_trials(
             wall_time_ns=elapsed,
         )
 
-    ids = range(trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, ids))
-    else:
-        records = [one(i) for i in ids]
-    records.sort(key=lambda r: r.trial_id)
-    return records
+    return [one(i) for i in range(trials)]
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,6 @@ class ExperimentConfig:
     generator: Optional[GeneratorSpec] = None
     compute_exact: bool = True
     cnf_delta: float = 0.3
-    workers: int = 1
     edgecount: EdgeCountConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
     def __post_init__(self) -> None:
@@ -248,7 +238,6 @@ class ExperimentConfig:
             generator=generator,
             compute_exact=payload.get("compute_exact", True),
             cnf_delta=payload.get("cnf_delta", 0.3),
-            workers=payload.get("workers", 1),
             edgecount=ec,
         )
 
@@ -261,7 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     exact = exact_count(inst) if cfg.compute_exact else None
     counter = instance_counter(inst, cfg.eps, config=cfg.edgecount, cnf_delta=cfg.cnf_delta)
     master = RngStream(cfg.master_seed)
-    return run_trials(counter, cfg.trials, master, exact=exact, workers=cfg.workers)
+    return run_trials(counter, cfg.trials, master, exact=exact)
 
 
 def success_fraction(records: Sequence[TrialRecord], eps: float) -> float:

@@ -12,6 +12,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .reductions import NwtInstance, OvInstance, ThreeSumInstance
 from .satcount import AugmentedFormula, CnfFormula, parse_dimacs, write_dimacs
 
@@ -73,7 +75,17 @@ def dumps_instance(inst: ProblemInstance) -> str:
     return write_dimacs(inst)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an integer array; JSON floats, booleans, strings and
+    integers beyond 64 bits raise ``ValueError`` instead of being cast."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold 64-bit integers only")
+    return arr
+
+
 def loads_instance(text: str) -> ProblemInstance:
+    """Parse an instance file; a malformed one raises ``ValueError``."""
     stripped = text.lstrip()
     if not stripped.startswith("{"):
         aug = parse_dimacs(text)
@@ -81,16 +93,24 @@ def loads_instance(text: str) -> ProblemInstance:
         return aug.cnf if not aug.xors.rows else aug
     payload = json.loads(text)
     kind = payload.get("type")
-    if kind == "3sum":
-        return ThreeSumInstance(payload["A"], payload["B"], payload["C"])
-    if kind == "ov":
-        return OvInstance(payload["A"], payload["B"])
-    if kind == "nwt":
-        parts = payload["parts"]
-        edges = [(int(u), int(v), int(w)) for u, v, w in payload["edges"]]
-        return NwtInstance.from_edges(
-            (parts["A"], parts["B"], parts["C"]), edges
-        )
+    try:
+        if kind == "3sum":
+            return ThreeSumInstance(*(_integers(payload[k], k) for k in "ABC"))
+        if kind == "ov":
+            return OvInstance(_integers(payload["A"], "A"), _integers(payload["B"], "B"))
+        if kind == "nwt":
+            parts = payload["parts"]
+            edges = _integers(payload["edges"], "edges")
+            if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
+                raise ValueError("edges must be [u, v, w] triples")
+            return NwtInstance.from_edges(
+                tuple(_integers(parts[k], f"part {k}") for k in "ABC"),
+                [(int(u), int(v), int(w)) for u, v, w in edges.reshape(-1, 3)],
+            )
+    except KeyError as exc:
+        raise ValueError(f"{kind} instance lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} instance: {exc}") from exc
     raise ValueError(f"unknown instance type {kind!r}")
 
 

@@ -22,18 +22,16 @@ side; the contract is on set contents, not order.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "BipartiteOracles",
     "matrix_oracles",
-    "edge_set_oracles",
     "amplify",
     "repetitions_for",
     "amplified_independence",
-    "AMPLIFY_CONSTANT",
 ]
 
 
@@ -200,16 +198,6 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     )
 
 
-def edge_set_oracles(
-    left_size: int, right_size: int, edges: Sequence[tuple[int, int]]
-) -> BipartiteOracles:
-    """Oracle pair from an explicit edge list (convenience for small graphs)."""
-    adj = np.zeros((left_size, right_size), dtype=bool)
-    for u, v in edges:
-        adj[u, v] = True
-    return matrix_oracles(adj)
-
-
 # --------------------------------------------------------------------------
 # Majority amplification for randomized boolean deciders.
 # --------------------------------------------------------------------------
@@ -220,27 +208,20 @@ def edge_set_oracles(
 AMPLIFY_CONSTANT = 18.0
 
 
-def repetitions_for(target_failure: float, constant: float = AMPLIFY_CONSTANT) -> int:
+def repetitions_for(target_failure: float) -> int:
     """Smallest odd repetition count bringing failure <= 1/3 down to target."""
     if not 0.0 < target_failure < 1.0:
         raise ValueError(f"target_failure must be in (0,1), got {target_failure}")
     if target_failure >= 1.0 / 3.0:
         return 1
-    r = math.ceil(constant * math.log(2.0 / target_failure))
-    if r % 2 == 0:
-        r += 1
-    return max(r, 1)
+    r = math.ceil(AMPLIFY_CONSTANT * math.log(2.0 / target_failure))
+    return r if r % 2 else r + 1
 
 
-def amplify(
-    base: Callable[..., bool],
-    target_failure: float,
-    *,
-    constant: float = AMPLIFY_CONSTANT,
-) -> Callable[..., bool]:
+def amplify(base: Callable[..., bool], target_failure: float) -> Callable[..., bool]:
     """Majority of an odd number of calls of ``base``, a decider failing with
     probability <= 1/3, so that the vote fails with probability <= target_failure."""
-    r = repetitions_for(target_failure, constant)
+    r = repetitions_for(target_failure)
 
     def majority(*args, **kwargs) -> bool:
         trues = sum(1 for _ in range(r) if base(*args, **kwargs))
@@ -249,9 +230,7 @@ def amplify(
     return majority
 
 
-def amplified_independence(
-    oracles: BipartiteOracles, target_failure: float, *, constant: float = AMPLIFY_CONSTANT
-) -> BipartiteOracles:
+def amplified_independence(oracles: BipartiteOracles, target_failure: float) -> BipartiteOracles:
     """View of ``oracles`` whose independence answers are majority-amplified.
 
     Each independence query fans out into an odd number of queries on
@@ -261,6 +240,6 @@ def amplified_independence(
     return BipartiteOracles(
         oracles.left_size,
         oracles.right_size,
-        amplify(oracles.independence_query, target_failure, constant=constant),
+        amplify(oracles.independence_query, target_failure),
         oracles.adjacency_block,
     )

@@ -66,7 +66,6 @@ __all__ = [
     "nwt_oracles",
     "count_nwt",
     "count_nwt_exact",
-    "sub_nwt_instance",
     "nwt_to_apsp",
     "floyd_warshall",
     "decide_nwt_via_apsp",
@@ -91,6 +90,8 @@ class ThreeSumInstance:
         self.a = np.asarray(self.a, dtype=np.int64)
         self.b = np.asarray(self.b, dtype=np.int64)
         self.c = np.asarray(self.c, dtype=np.int64)
+        if self.a.ndim != 1 or self.b.ndim != 1 or self.c.ndim != 1:
+            raise ValueError("A, B and C must be flat lists of integers")
         largest = max(
             (int(np.abs(arr).max()) for arr in (self.a, self.b, self.c) if arr.size),
             default=0,
@@ -119,8 +120,6 @@ class OvInstance:
         self.b = _as_bit_matrix(self.b)
         if self.a.size and self.b.size and self.a.shape[1] != self.b.shape[1]:
             raise ValueError("vector dimensions disagree")
-        if ((self.a > 1).any()) or ((self.b > 1).any()):
-            raise ValueError("vectors must be 0/1")
 
     @property
     def d(self) -> int:
@@ -136,12 +135,14 @@ class OvInstance:
 
 
 def _as_bit_matrix(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.uint8)
+    arr = np.asarray(x)
     if arr.ndim == 1 and arr.size == 0:
-        return arr.reshape(0, 0)
+        return arr.astype(np.uint8).reshape(0, 0)
     if arr.ndim != 2:
         raise ValueError("vector lists must be two-dimensional 0/1 arrays")
-    return arr
+    if arr.dtype != bool and ((arr < 0) | (arr > 1)).any():
+        raise ValueError("vectors must be 0/1")
+    return arr.astype(np.uint8, copy=False)
 
 
 @dataclass
@@ -172,6 +173,8 @@ class NwtInstance:
         if not (self.adjacency == self.adjacency.T).all():
             raise ValueError("adjacency must be symmetric")
         ids = np.concatenate([self.part_a, self.part_b, self.part_c])
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(f"part members must lie in [0, {n})")
         if ids.size != np.unique(ids).size:
             raise ValueError("parts must be disjoint")
         part_of = np.full(n, -1, dtype=np.int64)
@@ -197,6 +200,8 @@ class NwtInstance:
         adjacency = np.zeros((n_vertices, n_vertices), dtype=bool)
         weights = np.zeros((n_vertices, n_vertices), dtype=np.int64)
         for u, v, w in edges:
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n_vertices})")
             adjacency[u, v] = adjacency[v, u] = True
             weights[u, v] = weights[v, u] = w
         return cls(n_vertices, pa, pb, pc, adjacency, weights)
@@ -466,7 +471,7 @@ def count_nwt_exact(inst: NwtInstance) -> int:
     return _nwt_witnesses(inst).count()
 
 
-def sub_nwt_instance(
+def _sub_nwt_instance(
     inst: NwtInstance, left: np.ndarray, right: np.ndarray
 ) -> NwtInstance:
     """Materialized sub-instance for an independence query.
@@ -499,13 +504,13 @@ def nwt_oracles(
 ) -> BipartiteOracles:
     """Oracle pair: left = part A, right = edges inside B ∪ C.
 
-    A custom ``decision`` receives the sub-instance ``sub_nwt_instance``
+    A custom ``decision`` receives the sub-instance ``_sub_nwt_instance``
     materializes.
     """
     independence = None
     if decision is not None:
         def independence(left: np.ndarray, right: np.ndarray) -> bool:
-            return not decision(sub_nwt_instance(inst, left, right))
+            return not decision(_sub_nwt_instance(inst, left, right))
 
     return _nwt_witnesses(inst).oracles(independence)
 

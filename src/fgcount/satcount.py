@@ -41,7 +41,6 @@ __all__ = [
     "empty_system",
     "Count",
     "FAIL",
-    "SparseCountResult",
     "sparse_count",
     "sample_hash",
     "conjoin",

@@ -16,7 +16,6 @@ __all__ = [
     "dense_bipartite",
     "sparse_bipartite",
     "star_skewed_bipartite",
-    "complete_bipartite",
     "regular_right_bipartite",
 ]
 
@@ -54,10 +53,6 @@ def star_skewed_bipartite(
     star_cols = gen.permutation(right)[:stars]
     adj[:, star_cols] = True
     return adj
-
-
-def complete_bipartite(left: int, right: int) -> np.ndarray:
-    return np.ones((left, right), dtype=bool)
 
 
 def regular_right_bipartite(left: int, right: int, degree: int, rng: RngStream) -> np.ndarray:

@@ -182,3 +182,44 @@ def test_count_rejects_parameters_outside_the_unit_interval(
                              "--out", str(path)])
     assert r.exit_code == 0, r.output
     _assert_usage_error(runner.invoke(main, [command, str(path), option, value]))
+
+
+_NWT_PARTS = {"A": [0], "B": [1], "C": [2]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("count-ov", {"type": "ov"}),
+    ("count-nwt", {"type": "nwt", "parts": _NWT_PARTS, "edges": [[0, 7, 1]]}),
+    ("count-ov", {"type": "ov", "d": 2, "A": [[0, -1]], "B": [[1, 0]]}),
+    ("bench", {"eps": 0.25, "trials": 2, "master_seed": 1}),
+    # -1 would index vertex 2 and close the negative triangle (0, 1, 2)
+    ("count-nwt", {"type": "nwt", "parts": _NWT_PARTS,
+                   "edges": [[0, 1, -5], [0, 2, -5], [-1, 1, -5]]}),
+    ("count-3sum", {"type": "3sum", "A": [1.5], "B": [1], "C": [2]}),
+    ("count-nwt", {"type": "nwt", "parts": {"A": [-1], "B": [1], "C": [2]}, "edges": []}),
+    ("count-3sum", {"type": "3sum", "A": [[1, 2]], "B": [1], "C": [2, 3]}),
+], ids=["ov-missing-key", "nwt-endpoint-above-n", "ov-negative-entry",
+        "bench-missing-instance", "nwt-negative-endpoint", "3sum-float-entry",
+        "nwt-negative-part-member", "3sum-nested-list"])
+def test_malformed_instance_files_are_usage_errors(runner, tmp_path, command, payload):
+    if command == "bench":
+        payload = {**payload, "instance_path": str(tmp_path / "missing.json")}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    args = [command, str(path)] + ([] if command == "bench" else ["--exact"])
+    _assert_usage_error(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["--seed", "0"], {"FGCOUNT_SEED": "abc"}, "FGCOUNT_SEED must be an integer"),
+    (["--eps", "abc"], {}, "'abc' is not a valid float"),
+    (None, {}, "Missing argument 'INSTANCE_FILE'"),
+], ids=["bad-env-seed", "bad-eps", "missing-instance-file"])
+def test_click_usage_errors_exit_with_the_usage_code(runner, tmp_path, args, env, message):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n")
+    argv = ["count-cnf"] + ([] if args is None else [str(path)] + args)
+    r = runner.invoke(main, argv, env=env)
+    assert r.exit_code == EXIT_USAGE, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert message in r.stderr

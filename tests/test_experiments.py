@@ -88,24 +88,6 @@ def test_no_estimate_recorded():
     assert all(r.outcome is Outcome.NO_ESTIMATE for r in records)
 
 
-def test_workers_preserve_order_and_results():
-    cfg = _ov_config(trials=6)
-    sequential = run_experiment(cfg)
-    threaded = run_experiment(
-        ExperimentConfig(
-            eps=cfg.eps,
-            trials=cfg.trials,
-            master_seed=cfg.master_seed,
-            generator=cfg.generator,
-            workers=4,
-        )
-    )
-    assert [r.trial_id for r in threaded] == list(range(6))
-    assert [(r.estimate, r.seed) for r in threaded] == [
-        (r.estimate, r.seed) for r in sequential
-    ]
-
-
 def test_bipartite_counter_runs_and_counts_queries():
     adj = random_bipartite(60, 60, 0.1, RngStream(5))
     counter = bipartite_counter(adj, 0.3)

@@ -8,7 +8,6 @@ import pytest
 from fgcount.edgecount import (
     Core,
     CoreClass,
-    CoreParams,
     ExactCount,
     classify_core,
     find_core,
@@ -18,10 +17,47 @@ from fgcount.oracles import BipartiteOracles, matrix_oracles
 from fgcount.rng import RngStream, derive_stream
 
 
+def fcc(xi, n):
+    """Size of find_core's degree sample Y: ceil(24 ln n / xi)."""
+    return math.ceil(24 * math.log(n) / xi)
+
+
+def record_samples(oracles):
+    """Record every ``neighbor_counts(left, right)`` call on ``oracles``.
+
+    In its sampled branch find_core makes exactly one such call, with the
+    degree sample Y as ``left`` and X as ``right``; the result is the
+    degree proxy the core is cut from.  Returns the list of recorded
+    ``(left, counts)`` pairs, which fills as calls are made.
+    """
+    calls = []
+    inner = oracles.neighbor_counts
+
+    def recorded(left, right):
+        counts = inner(left, right)
+        calls.append((np.asarray(left), counts))
+        return counts
+
+    oracles.neighbor_counts = recorded
+    return calls
+
+
+def sampled(calls):
+    """The (Y, counts) of the one neighbor_counts call of a sampled find_core."""
+    assert len(calls) == 1
+    return calls[0]
+
+
 def test_core_params_formula():
-    p = CoreParams.compute(0.25, 4096)
-    assert p.fcc == math.ceil(24 * math.log(4096) / 0.25)
-    assert p.fcc >= 24 * math.log(4096) / 0.25
+    # Every left vertex of a complete graph is non-isolated, so the scan
+    # stops after exactly fcc = ceil(24 ln n / xi) = 799 of its 2048.
+    adj = np.ones((2048, 2048), dtype=bool)
+    oracles = matrix_oracles(adj)
+    calls = record_samples(oracles)
+    out = find_core(oracles, np.arange(2048), 0.25, RngStream(11))
+    assert isinstance(out, Core)
+    sample, _ = sampled(calls)
+    assert sample.size == math.ceil(24 * math.log(4096) / 0.25) == 799
 
 
 def test_find_core_rejects_contract_violations():
@@ -33,6 +69,8 @@ def test_find_core_rejects_contract_violations():
         find_core(oracles, np.arange(4), 0.0, RngStream(1))
     with pytest.raises(ValueError):
         find_core(oracles, np.arange(4), 1.0, RngStream(1))
+    with pytest.raises(ValueError):  # n = 1: ln n would be 0
+        find_core(matrix_oracles(np.zeros((0, 1), dtype=bool)), [0], 0.5, RngStream(1))
 
 
 def test_small_right_side_counts_exactly():
@@ -64,12 +102,13 @@ def test_complete_bipartite_core_is_everything():
     size = 1024
     adj = np.ones((size, size), dtype=bool)
     oracles = matrix_oracles(adj)
+    calls = record_samples(oracles)
     out = find_core(oracles, np.arange(size), 0.25, RngStream(11))
     assert isinstance(out, Core)
     np.testing.assert_array_equal(np.sort(out.vertices), np.arange(size))
-    assert out.sketch is not None
-    assert out.sketch.sample.size == CoreParams.compute(0.25, 2048).fcc
-    assert (out.sketch.neighbor_counts == out.sketch.sample.size).all()
+    sample, counts = sampled(calls)
+    assert sample.size == fcc(0.25, 2048)
+    assert (counts == sample.size).all()
 
 
 def test_complete_bipartite_core_at_scale():
@@ -114,28 +153,34 @@ def test_independence_query_budget():
     xi = 0.3
     out = find_core(oracles, np.arange(right), xi, RngStream(5))
     assert isinstance(out, Core)
-    fcc = CoreParams.compute(xi, left + right).fcc
-    assert oracles.independence_calls <= fcc * math.ceil(math.log2(left + 1))
+    assert oracles.independence_calls <= fcc(xi, left + right) * math.ceil(math.log2(left + 1))
 
 
 def test_find_core_deterministic_in_stream():
     adj = np.ones((512, 512), dtype=bool)
-    a = find_core(matrix_oracles(adj), np.arange(512), 0.5, RngStream(9))
-    b = find_core(matrix_oracles(adj), np.arange(512), 0.5, RngStream(9))
+
+    def run():
+        oracles = matrix_oracles(adj)
+        calls = record_samples(oracles)
+        return find_core(oracles, np.arange(512), 0.5, RngStream(9)), calls
+
+    (a, calls_a), (b, calls_b) = run(), run()
     assert isinstance(a, Core) and isinstance(b, Core)
     np.testing.assert_array_equal(a.vertices, b.vertices)
-    np.testing.assert_array_equal(a.sketch.sample, b.sketch.sample)
+    np.testing.assert_array_equal(sampled(calls_a)[0], sampled(calls_b)[0])
 
 
 def test_sketch_sample_lies_in_nonisolated_left():
     gen = np.random.default_rng(31)
     adj = gen.random((600, 600)) < 0.05
     oracles = matrix_oracles(adj)
+    calls = record_samples(oracles)
     out = find_core(oracles, np.arange(600), 0.5, RngStream(13))
     if isinstance(out, Core):
+        sample, counts = sampled(calls)
         nonisolated = np.flatnonzero(adj.any(axis=1))
-        assert set(out.sketch.sample) <= set(nonisolated)
-        assert (out.sketch.neighbor_counts <= out.sketch.sample.size).all()
+        assert set(sample) <= set(nonisolated)
+        assert (counts <= sample.size).all()
 
 
 def test_sketch_sample_is_first_nonisolated_in_the_ordering():
@@ -146,12 +191,14 @@ def test_sketch_sample_is_first_nonisolated_in_the_ordering():
     adj = gen.random((left, right)) < 0.01
     X = np.arange(0, right, 2)
     xi = 0.3
-    out = find_core(matrix_oracles(adj), X, xi, RngStream(5))
+    oracles = matrix_oracles(adj)
+    calls = record_samples(oracles)
+    out = find_core(oracles, X, xi, RngStream(5))
     assert isinstance(out, Core)
     order = RngStream(5).generator().permutation(left)
     nonisolated = adj[:, X].any(axis=1)
-    fcc = CoreParams.compute(xi, left + right).fcc
-    np.testing.assert_array_equal(out.sketch.sample, order[nonisolated[order]][:fcc])
+    sample, _ = sampled(calls)
+    np.testing.assert_array_equal(sample, order[nonisolated[order]][: fcc(xi, left + right)])
 
 
 class WindowRecorder:
@@ -199,9 +246,10 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
     X = np.arange(x_size)
     recorder = WindowRecorder(adj, X)
     oracles = BipartiteOracles(left, right, recorder, lambda u, v: adj[np.ix_(u, v)])
+    calls = record_samples(oracles)
     out = find_core(oracles, X, xi, RngStream(8))
     if isinstance(out, Core):
-        np.testing.assert_array_equal(recorder.located, out.sketch.sample)
+        np.testing.assert_array_equal(recorder.located, sampled(calls)[0])
     else:
         assert out.count == int(adj[:, X].sum())
         nonisolated = np.flatnonzero(adj[:, X].any(axis=1))

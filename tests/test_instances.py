@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fgcount.exact import CapExceeded, exact_count
+from fgcount.exact import exact_count
 from fgcount.generators import GeneratorSpec, generate
 from fgcount.instances import (
     Problem,
@@ -14,7 +14,7 @@ from fgcount.instances import (
     save_instance,
 )
 from fgcount.reductions import NwtInstance, OvInstance, ThreeSumInstance
-from fgcount.satcount import CnfFormula
+from fgcount.satcount import CapExceeded, CnfFormula
 
 
 def test_3sum_json_round_trip(tmp_path):

@@ -11,10 +11,17 @@ from fgcount.oracles import (
     _pack_rows,
     amplified_independence,
     amplify,
-    edge_set_oracles,
     matrix_oracles,
     repetitions_for,
 )
+
+
+def edge_set_oracles(left_size, right_size, edges):
+    """Oracle pair of the graph with the given (left, right) edge list."""
+    adj = np.zeros((left_size, right_size), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return matrix_oracles(adj)
 
 
 def test_independence_matches_edge_enumeration_small_graphs():

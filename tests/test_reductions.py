@@ -15,6 +15,7 @@ from fgcount.reductions import (
     NwtInstance,
     OvInstance,
     ThreeSumInstance,
+    _sub_nwt_instance,
     count_3sum,
     count_3sum_exact,
     count_nwt,
@@ -29,7 +30,6 @@ from fgcount.reductions import (
     nwt_oracles,
     nwt_to_apsp,
     ov_oracles,
-    sub_nwt_instance,
     three_sum_oracles,
 )
 from fgcount.rng import RngStream
@@ -316,7 +316,7 @@ def test_nwt_oracles_consistency_and_closure():
             expected = not edges[np.ix_(lsel, rsel)].any()
             assert oracles.independence_query(lsel, rsel) == expected
             # the materialized sub-instance is a valid instance with the same answer
-            sub = sub_nwt_instance(inst, lsel, rsel)
+            sub = _sub_nwt_instance(inst, lsel, rsel)
             assert isinstance(sub, NwtInstance)
             assert decide_nwt(sub) == (not expected)
 
