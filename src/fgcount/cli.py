@@ -229,7 +229,7 @@ def bench(config_file, out):
     """Run an experiment config (JSON) and emit trial records as CSV."""
     try:
         cfg = ExperimentConfig.from_json(Path(config_file).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         _usage_error(str(exc))
     try:
         records = run_experiment(cfg)

@@ -197,6 +197,19 @@ def run_trials(
     return [one(i) for i in range(trials)]
 
 
+# Each bench config key with the JSON type it takes.
+_CONFIG_TYPES = {
+    "eps": ((int, float), "a number"),
+    "trials": (int, "an integer"),
+    "master_seed": (int, "an integer"),
+    "instance_path": (str, "a string"),
+    "generator": (dict, "an object"),
+    "compute_exact": (bool, "true or false"),
+    "cnf_delta": ((int, float), "a number"),
+    "overrides": (dict, "an object"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One batch: an instance source, a tolerance, and a trial budget."""
@@ -220,16 +233,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a bench config; a malformed one raises ``ValueError``.
+
+        The top level is an object whose keys are those of ``_CONFIG_TYPES``;
+        an unknown key is an error, so a misspelt one cannot silently fall
+        back to its default.  ``eps`` and ``trials`` are required.
+        """
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a bench config is a JSON object")
+        unknown = sorted(set(payload) - set(_CONFIG_TYPES))
+        if unknown:
+            raise ValueError(f"unknown bench config keys: {', '.join(unknown)}")
+        for key in ("eps", "trials"):
+            if key not in payload:
+                raise ValueError(f"bench config lacks the key {key!r}")
+        for key, value in payload.items():
+            kinds, what = _CONFIG_TYPES[key]
+            # bool is an int subclass: only compute_exact takes one
+            if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+                raise ValueError(f"bench config {key} must be {what}, got {value!r}")
         generator = None
-        if "generator" in payload:
-            g = dict(payload["generator"])
-            g["problem"] = Problem(g["problem"])
-            if "parts" in g and g["parts"] is not None:
-                g["parts"] = tuple(g["parts"])
-            generator = GeneratorSpec(**g)
-        overrides = payload.get("overrides", {})
-        ec = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
+        try:
+            if "generator" in payload:
+                g = dict(payload["generator"])
+                g["problem"] = Problem(g["problem"])
+                if "parts" in g and g["parts"] is not None:
+                    g["parts"] = tuple(g["parts"])
+                generator = GeneratorSpec(**g)
+            overrides = payload.get("overrides", {})
+            ec = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
+            if any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in overrides.values()):
+                raise ValueError(f"overrides must be numbers, got {overrides!r}")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed generator or overrides: {exc}") from exc
         return cls(
             eps=payload["eps"],
             trials=payload["trials"],

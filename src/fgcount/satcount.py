@@ -34,11 +34,9 @@ from .oracles import amplify
 __all__ = [
     "CapExceeded",
     "CnfFormula",
-    "XorRow",
     "SparseXorSystem",
     "AugmentedFormula",
     "augment",
-    "empty_system",
     "Count",
     "FAIL",
     "sparse_count",
@@ -108,53 +106,28 @@ class CnfFormula:
 
 
 @dataclass(frozen=True)
-class XorRow:
-    """One GF(2) equation: sum of coeffs[i] * x_support[i] = rhs."""
-
-    support: tuple[int, ...]
-    coeffs: tuple[int, ...]
-    rhs: int
-
-    def __post_init__(self) -> None:
-        if len(self.support) != len(self.coeffs):
-            raise ValueError("support and coefficients must align")
-        if any(c not in (0, 1) for c in self.coeffs) or self.rhs not in (0, 1):
-            raise ValueError("coefficients and rhs are GF(2) bits")
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support indices must be distinct")
-
-
-@dataclass(frozen=True)
 class SparseXorSystem:
-    """An s-sparse GF(2) system over n_vars variables (row count m <= n)."""
+    """A GF(2) linear system over x_1..x_n_vars with at most n_vars rows.
+
+    Each row is a pair (mask, rhs), bit v-1 of ``mask`` standing for x_v:
+    the row holds when the parity of the masked variables equals ``rhs``.
+    ``SparseXorSystem(n)`` is the empty system.  Rows are checked once, here;
+    ``AugmentedFormula.assign`` shares the system and checks nothing again.
+    """
 
     n_vars: int
-    sparsity_s: int
-    rows: tuple[XorRow, ...]
+    rows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.sparsity_s < 1:
-            raise ValueError("sparsity must be positive")
-        if len(self.rows) > max(self.n_vars, 0):
+        rows = tuple((index(mask), index(rhs)) for mask, rhs in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) > max(self.n_vars, 0):
             raise ValueError("row count must not exceed the variable count")
-        for row in self.rows:
-            if len(row.support) > self.sparsity_s:
-                raise ValueError("row support exceeds sparsity bound")
-            for v in row.support:
-                if not 1 <= v <= self.n_vars:
-                    raise ValueError(f"support variable {v} out of range")
-
-    @cached_property
-    def masks(self) -> tuple[tuple[int, int], ...]:
-        """Each row as (mask, rhs): the parity of the masked bits must equal rhs."""
-        return tuple(
-            (sum(1 << (v - 1) for v, c in zip(row.support, row.coeffs) if c), row.rhs)
-            for row in self.rows
-        )
-
-
-def empty_system(n_vars: int) -> SparseXorSystem:
-    return SparseXorSystem(n_vars=n_vars, sparsity_s=1, rows=())
+        for mask, rhs in rows:
+            if mask < 0 or mask >> self.n_vars:
+                raise ValueError(f"row mask {mask:#x} out of range for n={self.n_vars}")
+            if rhs not in (0, 1):
+                raise ValueError("right-hand sides are GF(2) bits")
 
 
 @dataclass(frozen=True)
@@ -213,7 +186,7 @@ class AugmentedFormula:
 
 def augment(cnf: CnfFormula) -> AugmentedFormula:
     """Wrap a plain CNF as an augmented formula with no XOR rows."""
-    return AugmentedFormula(cnf=cnf, xors=empty_system(cnf.n_vars))
+    return AugmentedFormula(cnf=cnf, xors=SparseXorSystem(cnf.n_vars))
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +262,10 @@ def sample_hash(s: int, m: int, n: int, rng: RngStream) -> SparseXorSystem:
     """Random m x n GF(2) matrix whose rows have uniform size-s supports.
 
     Each row independently picks a uniform size-s subset of [n] as its
-    support and uniform coefficient bits on it.  Right-hand sides are left
+    support and uniform coefficient bits on it; its mask holds the support
+    variables whose coefficient is 1.  Per row the stream is read as a
+    ``choice`` of s variables, then s coefficient bits, the i-th bit
+    belonging to the i-th smallest variable.  Right-hand sides are left
     zero here; ``conjoin`` draws them fresh (they must be independent of
     the matrix and of each other across hashed copies).
     """
@@ -300,19 +276,22 @@ def sample_hash(s: int, m: int, n: int, rng: RngStream) -> SparseXorSystem:
     gen = rng.generator()
     rows = []
     for _ in range(m):
-        support = np.sort(gen.choice(n, size=s, replace=False)) + 1
-        rows.append(XorRow(tuple(support.tolist()), tuple(gen.integers(0, 2, size=s).tolist()), 0))
-    return SparseXorSystem(n_vars=n, sparsity_s=s, rows=tuple(rows))
+        support = np.sort(gen.choice(n, size=s, replace=False))
+        coeffs = gen.integers(0, 2, size=s)
+        rows.append((sum(1 << p for p in support[coeffs == 1].tolist()), 0))
+    return SparseXorSystem(n, tuple(rows))
 
 
 def conjoin(cnf: CnfFormula, system: SparseXorSystem, rng: RngStream) -> AugmentedFormula:
-    """Attach ``system`` to ``cnf`` with a fresh uniform right-hand side."""
+    """Attach ``system``'s masks to ``cnf`` with a fresh uniform right-hand side.
+
+    One draw of len(rows) bits; the rhs of each row of ``system`` is ignored.
+    """
     if system.n_vars != cnf.n_vars:
         raise ValueError("dimension mismatch between formula and XOR system")
-    gen = rng.generator()
-    b = gen.integers(0, 2, size=len(system.rows))
-    rows = tuple(XorRow(row.support, row.coeffs, bit) for row, bit in zip(system.rows, b.tolist()))
-    return AugmentedFormula(cnf, SparseXorSystem(system.n_vars, system.sparsity_s, rows))
+    b = rng.generator().integers(0, 2, size=len(system.rows)).tolist()
+    rows = tuple((mask, bit) for (mask, _), bit in zip(system.rows, b))
+    return AugmentedFormula(cnf, SparseXorSystem(system.n_vars, rows))
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +313,7 @@ def decide_pi_ks(formula: AugmentedFormula, *, free_var_cap: int = 32) -> bool:
             f"{formula.free_count()} free variables exceed the decision cap {free_var_cap}"
         )
     clauses = formula.cnf.masks
-    rows = formula.xors.masks
+    rows = formula.xors.rows
     every = (1 << formula.n_vars) - 1
 
     def search(assigned: int, values: int) -> bool:
@@ -382,7 +361,12 @@ def _satisfied(codes: np.ndarray, clauses, rows) -> np.ndarray:
     return ok
 
 
-def _satisfying_codes(f: AugmentedFormula, cap: int, chunk: int = 1 << 18):
+# Free variables the enumerators and the built-in decider accept.
+BRUTE_FORCE_CAP = 26
+_CODE_CHUNK = 1 << 18  # codes enumerated per numpy pass
+
+
+def _satisfying_codes(f: AugmentedFormula, cap: int):
     """Yield chunks of the formula's solutions as n-bit codes (bit v-1 = x_v)."""
     width = f.free_count()
     if width > cap:
@@ -391,21 +375,21 @@ def _satisfying_codes(f: AugmentedFormula, cap: int, chunk: int = 1 << 18):
         raise CapExceeded(f"{f.n_vars} variables do not fit a 64-bit code")
     free_bits = [p for p in range(f.n_vars) if not f.assigned_mask >> p & 1]
     total = 1 << width
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, _CODE_CHUNK):
+        codes = np.arange(start, min(start + _CODE_CHUNK, total), dtype=np.uint64)
         if f.assigned_mask:
             index, codes = codes, np.full(codes.shape, f.value_bits, dtype=np.uint64)
             for i, p in enumerate(free_bits):
                 codes |= (index >> np.uint64(i) & np.uint64(1)) << np.uint64(p)
-        yield codes[_satisfied(codes, f.cnf.masks, f.xors.masks)]
+        yield codes[_satisfied(codes, f.cnf.masks, f.xors.rows)]
 
 
-def brute_force_count(f: AugmentedFormula, *, cap: int = 26) -> int:
+def brute_force_count(f: AugmentedFormula, *, cap: int = BRUTE_FORCE_CAP) -> int:
     """Exact solution count by exhaustive enumeration over free variables."""
     return sum(int(codes.size) for codes in _satisfying_codes(f, cap))
 
 
-def solution_codes(cnf: CnfFormula, *, cap: int = 26) -> np.ndarray:
+def solution_codes(cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> np.ndarray:
     """All satisfying assignments of a plain CNF as n-bit codes (bit v-1 = x_v)."""
     return np.concatenate(list(_satisfying_codes(augment(cnf), cap)))
 
@@ -429,7 +413,7 @@ class EnumerationDecider:
     bit-reversed order; other assignments filter the list.
     """
 
-    def __init__(self, cnf: CnfFormula, *, cap: int = 26) -> None:
+    def __init__(self, cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> None:
         self.cnf = cnf
         self.n = cnf.n_vars
         self.codes = solution_codes(cnf, cap=cap)
@@ -443,7 +427,7 @@ class EnumerationDecider:
         self.calls += 1
         if f.xors.rows is not self._rows:
             self._rows = f.xors.rows
-            kept = self.codes[_satisfied(self.codes, (), f.xors.masks)]
+            kept = self.codes[_satisfied(self.codes, (), f.xors.rows)]
             self._table = sorted(_bit_reverse(c, self.n) for c in kept.tolist())
         n, table, j = self.n, self._table, f.assigned_mask.bit_count()
         if f.assigned_mask == (1 << j) - 1:
@@ -500,21 +484,26 @@ class SatSolveParams:
         return cls(delta=delta, eps=eps, t=t, sparsity_s=s)
 
 
+# The C in a caller-supplied oracle's per-call failure budget
+# eps^2 / (C n 2^(delta n / 3)).
+AMPLIFICATION_C = 16.0
+# Refuse 2^t hashed copies per level beyond this (plainly infeasible).
+MAX_T = 48
+
+
 @dataclass(frozen=True)
 class SatSolveConfig:
-    """Knobs that exist for tests and sensitivity studies.
+    """The one setting of a counting run that tests change.
 
     ``brute_force_constant`` is the 8 in the small-instance cutoff
     n / lg n <= 8/delta; setting it to 0 disables the brute-force branch so
     the hashing path can be exercised on instances small enough to verify
-    exhaustively.  ``amplification_c`` is the C in the oracle's per-call
-    failure budget eps^2 / (C n 2^(delta n / 3)).
+    exhaustively.  The enumeration cap, the amplification constant and the
+    largest t are the module constants ``BRUTE_FORCE_CAP``,
+    ``AMPLIFICATION_C`` and ``MAX_T``.
     """
 
     brute_force_constant: float = 8.0
-    brute_force_cap: int = 26
-    amplification_c: float = 16.0
-    max_t: int = 48  # refuse 2^t inner loops beyond this (plainly infeasible)
 
 
 DEFAULT_SAT_CONFIG = SatSolveConfig()
@@ -558,14 +547,14 @@ def sat_solve(
 
     # Small instances: solve outright.  (n/lg n is increasing for n >= 3.)
     if n <= 2 or (n / math.log2(n)) <= config.brute_force_constant / delta:
-        return brute_force_count(augment(formula), cap=config.brute_force_cap)
+        return brute_force_count(augment(formula))
 
     base_budget = _power_budget(t + delta * n / 2.0)
     result = sparse_count(augment(formula), base_budget, oracle)
     if result is not FAIL:
         return result.value
 
-    if t > config.max_t:
+    if t > MAX_T:
         raise CapExceeded(f"2^{t} hashed copies per level is beyond desk scale")
     s_eff = min(params.sparsity_s, n)
 
@@ -611,14 +600,14 @@ def approx_count_cnf(
         raise ValueError("delta must lie in (0,1)")
     n = formula.n_vars
     if eps < 2.0 ** (-n):
-        return brute_force_count(augment(formula), cap=config.brute_force_cap)
+        return brute_force_count(augment(formula))
 
     params = SatSolveParams.for_instance(n, delta / 3.0, eps)
     if oracle is None:
         # Repeating a deterministic decider would only repeat its answer.
-        oracle = lambda f: decide_pi_ks(f, free_var_cap=config.brute_force_cap)
+        oracle = lambda f: decide_pi_ks(f, free_var_cap=BRUTE_FORCE_CAP)
     else:
-        target = eps**2 / (config.amplification_c * n * 2.0 ** (delta * n / 3.0))
+        target = eps**2 / (AMPLIFICATION_C * n * 2.0 ** (delta * n / 3.0))
         oracle = amplify(oracle, max(target, 1e-300))
     return sat_solve(formula, params, oracle, rng, config=config)
 
@@ -631,13 +620,16 @@ def approx_count_cnf(
 def parse_dimacs(text: str) -> AugmentedFormula:
     """Parse DIMACS CNF; lines "x <rhs> v:c v:c ... 0" add XOR rows.
 
-    The header's clause count covers the CNF clauses only, as written by
-    ``write_dimacs``; a mismatch raises ``ValueError``.
+    Each x-line follows the header and folds into one (mask, rhs) row: the
+    rhs and every coefficient c are bits, each v lies in [1, n] and appears
+    once in its line, and an entry with c = 0 sets no bit.  The header's
+    clause count covers the CNF clauses only, as written by
+    ``write_dimacs``.  Anything else raises ``ValueError``.
     """
     n_vars = None
     n_clauses = 0
     clauses: list[tuple[int, ...]] = []
-    rows: list[XorRow] = []
+    rows: list[tuple[int, int]] = []
     pending: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -653,16 +645,20 @@ def parse_dimacs(text: str) -> AugmentedFormula:
             parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"XOR line without a right-hand side: {line!r}")
+            if n_vars is None:
+                raise ValueError(f"XOR line before the 'p cnf' header: {line!r}")
             rhs = int(parts[1])
-            support = []
-            coeffs = []
+            seen = mask = 0
             for token in parts[2:]:
                 if token == "0":
                     break
-                v, c = token.split(":")
-                support.append(int(v))
-                coeffs.append(int(c))
-            rows.append(XorRow(tuple(support), tuple(coeffs), rhs))
+                v, _, c = token.partition(":")
+                v, c = int(v), int(c or 2)  # a bare "v" fails the bit check
+                if not 1 <= v <= n_vars or seen >> (v - 1) & 1 or c not in (0, 1):
+                    raise ValueError(f"bad XOR entry {token!r} in {line!r}")
+                seen |= 1 << (v - 1)
+                mask |= c << (v - 1)
+            rows.append((mask, rhs))
             continue
         for token in line.split():
             lit = int(token)
@@ -679,15 +675,14 @@ def parse_dimacs(text: str) -> AugmentedFormula:
         raise ValueError(f"header declares {n_clauses} clauses, found {len(clauses)}")
     width = max([len(c) for c in clauses] + [1])
     cnf = CnfFormula(n_vars=n_vars, width_k=width, clauses=tuple(clauses))
-    sparsity = max([len(r.support) for r in rows] + [1])
-    system = SparseXorSystem(n_vars=n_vars, sparsity_s=sparsity, rows=tuple(rows))
-    return AugmentedFormula(cnf=cnf, xors=system)
+    return AugmentedFormula(cnf=cnf, xors=SparseXorSystem(n_vars, tuple(rows)))
 
 
 def write_dimacs(f: Union[CnfFormula, AugmentedFormula]) -> str:
     """Serialize to DIMACS (plus x-lines when XOR rows are present).
 
-    DIMACS cannot hold a partial assignment: a formula with one is refused.
+    An x-line lists "v:1" for each set bit of the row's mask.  DIMACS cannot
+    hold a partial assignment: a formula with one is refused.
     """
     if isinstance(f, CnfFormula):
         f = augment(f)
@@ -696,7 +691,7 @@ def write_dimacs(f: Union[CnfFormula, AugmentedFormula]) -> str:
     lines = [f"p cnf {f.cnf.n_vars} {len(f.cnf.clauses)}"]
     for clause in f.cnf.clauses:
         lines.append(" ".join([str(l) for l in clause] + ["0"]))
-    for row in f.xors.rows:
-        entries = [f"{v}:{c}" for v, c in zip(row.support, row.coeffs)]
-        lines.append(" ".join(["x", str(row.rhs), *entries, "0"]))
+    for mask, rhs in f.xors.rows:
+        entries = [f"{p + 1}:1" for p in range(f.n_vars) if mask >> p & 1]
+        lines.append(" ".join(["x", str(rhs), *entries, "0"]))
     return "\n".join(lines) + "\n"

@@ -299,13 +299,9 @@ def _hash_moment_rows(sets: int, draws: int, seed: int):
             system = sample_hash(n, m, n, derive_stream(stream, f"A-{d}"))
             hashed = conjoin(f, system, derive_stream(stream, f"b-{d}"))
             ok = np.ones(codes.shape, dtype=bool)
-            for row in hashed.xors.rows:
-                mask = 0
-                for v, c in zip(row.support, row.coeffs):
-                    if c:
-                        mask |= 1 << (v - 1)
+            for mask, rhs in hashed.xors.rows:
                 parity = np.bitwise_count(codes & np.uint64(mask)) & np.uint64(1)
-                ok &= parity == np.uint64(row.rhs)
+                ok &= parity == np.uint64(rhs)
             sizes[d] = ok.sum()
         expected = codes.size / 2**m
         var_bound = float(codes.size) ** 2 * 2.0 ** (delta * n / 16.0 - 2 * m)

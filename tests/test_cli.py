@@ -223,3 +223,33 @@ def test_click_usage_errors_exit_with_the_usage_code(runner, tmp_path, args, env
     assert r.exit_code == EXIT_USAGE, r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert message in r.stderr
+
+
+_BENCH_CONFIG = {"eps": 0.3, "trials": 2, "master_seed": 11,
+                 "generator": {"problem": "ov", "n": 20, "d": 8, "seed": 2}}
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {**_BENCH_CONFIG, "master_sed": 99},
+    {**_BENCH_CONFIG, "trials": 2.5},
+    {**_BENCH_CONFIG, "trials": True},
+    {**_BENCH_CONFIG, "master_seed": "abc"},
+    {**_BENCH_CONFIG, "eps": "0.3"},
+    {**_BENCH_CONFIG, "cnf_delta": None},
+    {**_BENCH_CONFIG, "compute_exact": "no"},
+    {**_BENCH_CONFIG, "generator": {"problem": "ov", "size": 20}},
+    {**_BENCH_CONFIG, "overrides": {"exact_cutoff": "abc"}},
+], ids=["top-level-list", "unknown-key", "float-trials", "bool-trials", "string-seed",
+        "string-eps", "null-cnf-delta", "string-compute-exact", "unknown-generator-key",
+        "string-override"])
+def test_malformed_bench_configs_are_usage_errors(runner, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    _assert_usage_error(runner.invoke(main, ["bench", str(path)]))
+
+
+def test_count_cnf_rejects_a_malformed_xor_entry(runner, tmp_path):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 3 1\n1 2 0\nx 1 1:1 1:0 0\n")
+    _assert_usage_error(runner.invoke(main, ["count-cnf", str(path)]))

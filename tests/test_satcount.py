@@ -22,13 +22,11 @@ from fgcount.satcount import (
     SatSolveConfig,
     SatSolveParams,
     SparseXorSystem,
-    XorRow,
     approx_count_cnf,
     augment,
     brute_force_count,
     conjoin,
     decide_pi_ks,
-    empty_system,
     parse_dimacs,
     sample_hash,
     sat_solve,
@@ -62,7 +60,7 @@ def random_cnf(gen, n, m, k=3):
 
 def test_assigned_formula_counts_the_completions_of_the_assignment():
     cnf = CnfFormula(3, 3, ((1, 2), (-1, 3), (-2,)))
-    rows = SparseXorSystem(3, 2, (XorRow((1, 2), (1, 1), 1),))
+    rows = SparseXorSystem(3, ((0b011, 1),))  # x1 + x2 = 1
     f = AugmentedFormula(cnf=cnf, xors=rows)
     g = f.assign(1, 1)
     # x1 = 1 leaves x2 = 0 (row and third clause) and x3 = 1 (second clause)
@@ -87,12 +85,12 @@ def test_assigned_formula_counts_the_completions_of_the_assignment():
 
 def test_assignment_masks_are_validated():
     cnf = CnfFormula(3, 1, ())
-    rows = empty_system(3)
+    rows = SparseXorSystem(3)
     for assigned, values in ((0b001, 0b010), (0b1000, 0), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             AugmentedFormula(cnf, rows, assigned, values)
     with pytest.raises(ValueError):
-        AugmentedFormula(cnf, empty_system(2))
+        AugmentedFormula(cnf, SparseXorSystem(2))
     f = AugmentedFormula(cnf, rows, 0b111, 0b101)
     assert f.partial_assignment == {1: 1, 2: 0, 3: 1}
     assert f.free_count() == 0 and f.first_free_variable() is None
@@ -113,7 +111,7 @@ def test_assignment_can_make_a_formula_unsatisfiable():
     assert decide_pi_ks(g) is False
     h = AugmentedFormula(
         cnf=CnfFormula(1, 1, ()),
-        xors=SparseXorSystem(1, 1, (XorRow((1,), (1,), 1),)),
+        xors=SparseXorSystem(1, ((0b1, 1),)),
     ).assign(1, 0)  # violates x1 = 1
     assert brute_force_count(h) == 0
     assert decide_pi_ks(h) is False
@@ -122,11 +120,24 @@ def test_assignment_can_make_a_formula_unsatisfiable():
 def test_xor_row_satisfied_by_an_assignment_leaves_other_variables_free():
     f = AugmentedFormula(
         cnf=CnfFormula(2, 1, ()),
-        xors=SparseXorSystem(2, 1, (XorRow((1,), (1,), 1),)),
+        xors=SparseXorSystem(2, ((0b01, 1),)),
     )
     g = f.assign(1, 1)
     assert brute_force_count(g) == 2
     assert decide_pi_ks(g) is True
+
+
+def test_xor_system_rows_are_validated():
+    assert SparseXorSystem(3).rows == ()
+    assert SparseXorSystem(3, [(np.int64(0b101), np.int64(1))]).rows == ((0b101, 1),)
+    for rows in (
+        ((-1, 0),),  # negative mask
+        ((0b1000, 0),),  # x4 at n = 3
+        ((0b1, 2),),  # rhs not a bit
+        ((0b1, 0),) * 4,  # more rows than variables
+    ):
+        with pytest.raises(ValueError):
+            SparseXorSystem(3, rows)
 
 
 # -- sparse_count ------------------------------------------------------------
@@ -193,21 +204,35 @@ def test_sparse_count_aborts_the_whole_computation():
 # -- hashing -----------------------------------------------------------------
 
 
+def reference_hash_masks(s, m, n, rng):
+    """The masks sample_hash must draw: per row a choice of s variables,
+    sorted, then s coefficient bits for them in increasing variable order."""
+    gen = rng.generator()
+    masks = []
+    for _ in range(m):
+        support = sorted(int(p) for p in gen.choice(n, size=s, replace=False))
+        coeffs = [int(c) for c in gen.integers(0, 2, size=s)]
+        mask = 0
+        for p, c in zip(support, coeffs):
+            if c:
+                mask |= 1 << p
+        masks.append(mask)
+    return masks
+
+
 def test_sample_hash_support_sizes():
-    rng = RngStream(1)
-    system = sample_hash(4, 3, 20, rng)
-    assert len(system.rows) == 3
-    for row in system.rows:
-        assert len(row.support) == 4
-        assert len(set(row.support)) == 4
-        assert all(1 <= v <= 20 for v in row.support)
-        assert row.rhs == 0  # right-hand sides are drawn at conjoin time
+    system = sample_hash(4, 3, 20, RngStream(1))
+    assert system.n_vars == 20
+    assert [mask for mask, _ in system.rows] == reference_hash_masks(4, 3, 20, RngStream(1))
+    for mask, rhs in system.rows:
+        assert 0 <= mask < 1 << 20 and mask.bit_count() <= 4
+        assert rhs == 0  # right-hand sides are drawn at conjoin time
 
 
 def test_sample_hash_full_support_when_s_equals_n():
+    # every variable is in the support, so a mask is exactly the coefficient bits
     system = sample_hash(5, 2, 5, RngStream(2))
-    for row in system.rows:
-        assert row.support == (1, 2, 3, 4, 5)
+    assert [mask for mask, _ in system.rows] == reference_hash_masks(5, 2, 5, RngStream(2))
 
 
 def test_sample_hash_rejects_bad_sizes():
@@ -221,21 +246,14 @@ def test_hash_hits_fixed_point_with_probability_two_to_minus_m():
     # For any fixed x, P(Ax = b) = 2^-m over the draw of (A, b).
     m, s, n = 3, 4, 20
     x_bits = np.random.default_rng(7).integers(0, 2, size=n)
+    x_code = sum(int(b) << (v - 1) for v, b in enumerate(x_bits, start=1))
     master = RngStream(33)
     hits = 0
     trials = 40_000
     for i in range(trials):
         system = sample_hash(s, m, n, derive_stream(master, f"A-{i}"))
         f = conjoin(CnfFormula(n, 3, ()), system, derive_stream(master, f"b-{i}"))
-        ok = True
-        for row in f.xors.rows:
-            acc = 0
-            for v, c in zip(row.support, row.coeffs):
-                acc ^= c & int(x_bits[v - 1])
-            if acc != row.rhs:
-                ok = False
-                break
-        hits += ok
+        hits += all((mask & x_code).bit_count() % 2 == rhs for mask, rhs in f.xors.rows)
     p = hits / trials
     sigma = math.sqrt(2**-m * (1 - 2**-m) / trials)
     assert abs(p - 2**-m) <= 3 * sigma
@@ -244,7 +262,7 @@ def test_hash_hits_fixed_point_with_probability_two_to_minus_m():
 def test_conjoin_zero_rows_preserves_solutions():
     gen = np.random.default_rng(8)
     f = random_cnf(gen, 8, 12)
-    g = conjoin(f, empty_system(8), RngStream(3))
+    g = conjoin(f, SparseXorSystem(8), RngStream(3))
     assert brute_force_count(g) == brute_force_count(augment(f))
 
 
@@ -558,7 +576,7 @@ def test_dimacs_round_trip_plain():
 
 def test_dimacs_round_trip_augmented():
     f = CnfFormula(5, 3, ((1, -2, 4),))
-    rows = SparseXorSystem(5, 3, (XorRow((1, 3, 5), (1, 0, 1), 1),))
+    rows = SparseXorSystem(5, ((0b10001, 1),))  # x1 + x5 = 1
     aug = AugmentedFormula(cnf=f, xors=rows)
     g = parse_dimacs(write_dimacs(aug))
     assert g.cnf.clauses == f.clauses
@@ -588,6 +606,33 @@ def test_dimacs_rejects_clause_count_mismatch():
         parse_dimacs("p cnf 3 5\n1 2 0\n")
 
 
+@pytest.mark.parametrize("xor_lines", [
+    "x 1 0:1 0",  # variable 0
+    "x 1 4:1 0",  # above n
+    "x 1 1:1 1:0 0",  # repeated variable
+    "x 1 1:2 0",  # coefficient not a bit
+    "x 2 1:1 0",  # rhs not a bit
+    "x 1 3 0",  # entry without a coefficient
+    "x 0 1:1 0\nx 1 2:1 0\nx 0 3:1 0\nx 1 1:1 2:1 0",  # four rows at n = 3
+])
+def test_dimacs_rejects_malformed_xor_lines(xor_lines):
+    with pytest.raises(ValueError):
+        parse_dimacs(f"p cnf 3 1\n1 2 0\n{xor_lines}\n")
+
+
+def test_dimacs_xor_line_needs_the_header_first():
+    with pytest.raises(ValueError):
+        parse_dimacs("x 1 1:1 0\np cnf 3 1\n1 2 0\n")
+
+
+def test_dimacs_zero_coefficients_are_accepted_and_not_written_back():
+    f = parse_dimacs("p cnf 3 1\n1 2 0\nx 1 1:1 2:0 3:1 0\n")
+    assert f.xors.rows == ((0b101, 1),)
+    text = write_dimacs(f)
+    assert text.splitlines()[-1] == "x 1 1:1 3:1 0"
+    assert parse_dimacs(text) == f
+
+
 @st.composite
 def augmented_formulas(draw):
     n = draw(st.integers(1, 8))
@@ -599,8 +644,9 @@ def augmented_formulas(draw):
         support = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
         coeffs = draw(st.lists(st.integers(0, 1), min_size=len(support),
                                max_size=len(support)))
-        rows.append(XorRow(tuple(support), tuple(coeffs), draw(st.integers(0, 1))))
-    system = SparseXorSystem(n, n, tuple(rows))
+        mask = sum(c << (v - 1) for v, c in zip(support, coeffs))
+        rows.append((mask, draw(st.integers(0, 1))))
+    system = SparseXorSystem(n, tuple(rows))
     return AugmentedFormula(cnf=CnfFormula(n, width, tuple(clauses)), xors=system)
 
 
@@ -623,8 +669,8 @@ def reference_count(f):
             all(x[v] == b for v, b in f.partial_assignment.items())
             and all(any(x[abs(l)] == (l > 0) for l in c) for c in f.cnf.clauses)
             and all(
-                sum(c * x[v] for v, c in zip(r.support, r.coeffs)) % 2 == r.rhs
-                for r in f.xors.rows
+                sum(x[v] for v in x if mask >> (v - 1) & 1) % 2 == rhs
+                for mask, rhs in f.xors.rows
             )
         )
     return total
