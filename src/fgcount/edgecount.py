@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -40,8 +39,6 @@ __all__ = [
     "ExactCount",
     "Core",
     "FindCoreOutcome",
-    "CoreClass",
-    "classify_core",
     "find_core",
     "halve",
     "EdgeCountConfig",
@@ -76,23 +73,10 @@ class Core:
 FindCoreOutcome = Union[ExactCount, Core]
 
 
-class CoreClass(Enum):
-    WITNESS = "witness"
-    UNBALANCER = "unbalancer"
-
-
-def classify_core(core_vertices, xi: float, *, factor: float = 24.0) -> CoreClass:
-    """Classify a core: small-but-nonempty sets force vertex removal.
-
-    A set S is an unbalancer iff 1 <= |S| < 24/xi^2; the empty set and any
-    set of size >= 24/xi^2 are witnesses (the boundary is a witness).
-    """
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must lie in (0,1), got {xi}")
-    size = len(core_vertices)
-    if 1 <= size < factor / (xi * xi):
-        return CoreClass.UNBALANCER
-    return CoreClass.WITNESS
+def _is_unbalancer(S, xi: float, factor: float) -> bool:
+    """True iff 1 <= |S| < factor/xi^2; any other core (the boundary
+    included) is a witness, certifying X balanced."""
+    return 1 <= len(S) < factor / (xi * xi)
 
 
 def halve(X, rng: RngStream) -> np.ndarray:
@@ -202,24 +186,36 @@ def find_core(
     return Core(vertices=X[counts >= xi * fcc / 2.0])
 
 
+# Analysis constants of ``edge_count`` that no caller varies.
+CORE_XI_DIVISOR = 48.0  # the first core pass runs at xi = zeta / 48
+ITERATION_FACTOR = 7.0  # loop budget ceil(7 ln n) + 1
+NOISY_FAILURE_CONSTANT = 2000.0  # noisy-decider failure budget eps^2 / (2000 ln(n)^6)
+
+
 @dataclass(frozen=True)
 class EdgeCountConfig:
-    """Tunable constants of the estimator.
+    """The constants of the estimator that callers set.
 
     Defaults are the analysis constants; overrides exist only for sensitivity
     experiments and for tests that need to force the removal/halving loop at
-    desk scale.  ``noisy_failure_constant`` divides the per-call failure
-    budget granted to a randomized independence decider so that a union
-    bound over the query budget costs at most a small constant of success
-    probability.
+    desk scale.  ``zeta_constant`` and ``core_factor`` must be positive and
+    finite, ``exact_cutoff`` non-negative.  The first-pass divisor, the
+    iteration budget and the noisy-decider failure budget are the module
+    constants ``CORE_XI_DIVISOR``, ``ITERATION_FACTOR`` and
+    ``NOISY_FAILURE_CONSTANT``.
     """
 
     zeta_constant: float = 36.0**2  # zeta = eps^2 / (zeta_constant * ln(n)^3)
     exact_cutoff: int = 3000  # below this many vertices, enumerate outright
     core_factor: float = 24.0  # the "24" in thresholds, fcc, and witness sizes
-    core_xi_divisor: float = 48.0  # first core pass runs at zeta / this
-    iteration_factor: float = 7.0  # loop budget ceil(7 ln n) + 1
-    noisy_failure_constant: float = 2000.0
+
+    def __post_init__(self) -> None:
+        for name in ("zeta_constant", "core_factor"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.exact_cutoff >= 0:
+            raise ValueError(f"exact_cutoff must be >= 0, got {self.exact_cutoff}")
 
 
 DEFAULT_CONFIG = EdgeCountConfig()
@@ -227,18 +223,24 @@ DEFAULT_CONFIG = EdgeCountConfig()
 
 @dataclass
 class EdgeCountStats:
-    """Mutable trace of one estimator run (tests and the bench harness)."""
+    """What one estimator run did: the counters are its whole record.
+
+    ``iterations``: loop iterations entered.  ``halvings``: times X was
+    halved.  ``removals``: unbalancers priced and folded into N.
+    ``exit_branch``: "small-n" (enumerated below ``exact_cutoff``),
+    "first-pass" (the first core pass counted X exactly), "second-pass"
+    (after a removal the second pass counted X \\ S exactly, or S was all
+    of X) or "empty" (X had no vertices left).  ``final_t`` and
+    ``final_accumulator``: t and N at a loop exit, so the estimate is
+    2^final_t * eb(X) + final_accumulator.
+    """
 
     iterations: int = 0
     halvings: int = 0
     removals: int = 0
-    exit_branch: Optional[str] = None  # "small-n" | "first-pass" | "second-pass" | "empty"
-    events: list = field(default_factory=list)
+    exit_branch: Optional[str] = None
     final_t: int = 0
     final_accumulator: int = 0
-
-    def record(self, event: str) -> None:
-        self.events.append(event)
 
 
 def edge_count(
@@ -256,7 +258,8 @@ def edge_count(
 
     Small instances (fewer than ``config.exact_cutoff`` vertices) are
     enumerated exactly.  Otherwise each loop iteration asks for a core of
-    the surviving set X at accuracy zeta/48 with zeta = eps^2/(36^2 ln(n)^3):
+    the surviving set X at accuracy zeta/``CORE_XI_DIVISOR`` (48) with
+    zeta = eps^2/(``zeta_constant`` ln(n)^3), ``zeta_constant`` = 36^2:
 
     * an exact answer ends the run with 2^t * eb(X) + N;
     * a witness certifies X balanced, so X is halved and t incremented;
@@ -270,14 +273,14 @@ def edge_count(
     2^t * eb(X) + N tracks e(G) up to the halving noise, and the run
     returns that quantity once eb(X) is known exactly.
 
-    The loop is cut off after ceil(7 ln n) + 1 iterations with
-    ``IterationBudgetExceeded``; on a correct oracle that happens with
+    The loop is cut off after ceil(``ITERATION_FACTOR`` ln n) + 1 iterations
+    with ``IterationBudgetExceeded``; on a correct oracle that happens with
     probability at most 1/3.
 
     ``oracle_failure_prob`` > 0 declares the independence oracle to be a
     randomized decider with that per-call failure rate; it is then wrapped
     in a majority vote sized for a per-call failure of
-    eps^2 / (noisy_failure_constant * ln(n)^6), which a union bound over
+    eps^2 / (``NOISY_FAILURE_CONSTANT`` ln(n)^6), which a union bound over
     the query budget turns into a small additive loss.  Deterministic
     oracles (the default) are used as-is.
 
@@ -299,7 +302,7 @@ def edge_count(
     if oracle_failure_prob > 0.0:
         if oracle_failure_prob > 1.0 / 3.0:
             raise ValueError("independence decider must fail with probability <= 1/3")
-        target = eps**2 / (config.noisy_failure_constant * math.log(n) ** 6)
+        target = eps**2 / (NOISY_FAILURE_CONSTANT * math.log(n) ** 6)
         oracles = amplified_independence(oracles, target)
 
     if find_core_impl is not None:
@@ -309,14 +312,13 @@ def edge_count(
     hv = halve_impl if halve_impl is not None else halve
 
     zeta = eps**2 / (config.zeta_constant * math.log(n) ** 3)
-    xi_first = zeta / config.core_xi_divisor
+    xi_first = zeta / CORE_XI_DIVISOR
 
     X, t, N = all_right, 0, 0
-    budget = math.ceil(config.iteration_factor * math.log(n)) + 1
+    budget = math.ceil(ITERATION_FACTOR * math.log(n)) + 1
 
-    def finish(branch: str, event: str, exact_mass: int) -> int:
+    def finish(branch: str, exact_mass: int) -> int:
         st.exit_branch = branch
-        st.record(event)
         st.final_t, st.final_accumulator = t, N
         return (1 << t) * exact_mass + N
 
@@ -328,18 +330,17 @@ def edge_count(
         st.iterations = iteration
 
         if X.size == 0:
-            return finish("empty", f"empty:{iteration}", 0)
+            return finish("empty", 0)
 
         outcome = fc(oracles, X, xi_first, derive_stream(rng, f"core-a-{iteration}"))
         if isinstance(outcome, ExactCount):
-            return finish("first-pass", f"exact-a:{iteration}", outcome.count)
+            return finish("first-pass", outcome.count)
 
         S = outcome.vertices
-        if classify_core(S, xi_first, factor=config.core_factor) is CoreClass.WITNESS:
+        if not _is_unbalancer(S, xi_first, config.core_factor):
             X = hv(X, derive_stream(rng, f"halve-a-{iteration}"))
             t += 1
             st.halvings += 1
-            st.record(f"halve-a:{iteration}")
             continue
 
         # Unbalancer: price its edges exactly and retire it from X.
@@ -348,21 +349,19 @@ def edge_count(
 
         if remaining.size == 0:
             # eb(X) = eb(S) exactly; nothing left to estimate.
-            return finish("second-pass", f"exact-b-empty:{iteration}", eb_S)
+            return finish("second-pass", eb_S)
 
         outcome2 = fc(oracles, remaining, zeta, derive_stream(rng, f"core-b-{iteration}"))
         if isinstance(outcome2, ExactCount):
             # eb(X) = eb(X \ S) + eb(S); S's mass rejoins before scaling.
-            return finish("second-pass", f"exact-b:{iteration}", outcome2.count + eb_S)
+            return finish("second-pass", outcome2.count + eb_S)
 
         S2 = outcome2.vertices
         N += (1 << t) * eb_S
         st.removals += 1
-        if classify_core(S2, zeta, factor=config.core_factor) is CoreClass.WITNESS:
+        if _is_unbalancer(S2, zeta, config.core_factor):
+            X = remaining
+        else:
             X = hv(remaining, derive_stream(rng, f"halve-b-{iteration}"))
             t += 1
             st.halvings += 1
-            st.record(f"remove-halve:{iteration}")
-        else:
-            X = remaining
-            st.record(f"remove:{iteration}")

@@ -262,10 +262,10 @@ class ExperimentConfig:
                     g["parts"] = tuple(g["parts"])
                 generator = GeneratorSpec(**g)
             overrides = payload.get("overrides", {})
-            ec = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
             if any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in overrides.values()):
                 raise ValueError(f"overrides must be numbers, got {overrides!r}")
+            ec = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed generator or overrides: {exc}") from exc
         return cls(

@@ -238,9 +238,7 @@ class CountStats:
 
     independence_calls: int = 0
     adjacency_calls: int = 0
-    layers: int = 0
-    edgecount: list[EdgeCountStats] = field(default_factory=list)
-    exact_path: bool = False
+    edgecount: list[EdgeCountStats] = field(default_factory=list)  # one per estimator pass
 
 
 # --------------------------------------------------------------------------
@@ -359,8 +357,6 @@ def count_3sum(
     _check_eps(eps)
     n = inst.n
     if n == 0 or eps <= n**-3.0:
-        if stats is not None:
-            stats.exact_path = True
         return count_3sum_exact(inst)
 
     values, mult = np.unique(inst.c, return_counts=True)
@@ -433,8 +429,6 @@ def count_ov(
     _check_eps(eps)
     n = inst.n
     if n == 0 or eps <= n**-2.0:
-        if stats is not None:
-            stats.exact_path = True
         return count_ov_exact(inst)
     oracles = ov_oracles(inst, decision)
     return _run_edge_count(oracles, eps, rng, config, decision_failure_prob, stats)
@@ -535,8 +529,6 @@ def count_nwt(
     _check_eps(eps)
     n = inst.n
     if n == 0 or eps < n**-3.0:
-        if stats is not None:
-            stats.exact_path = True
         return count_nwt_exact(inst)
     oracles = nwt_oracles(inst, decision)
     return _run_edge_count(oracles, eps, rng, config, decision_failure_prob, stats)
@@ -649,7 +641,6 @@ def _run_edge_count(
         stats=ec_stats,
     )
     if stats is not None:
-        stats.layers += 1
         stats.independence_calls += oracles.independence_calls
         stats.adjacency_calls += oracles.adjacency_calls
         stats.edgecount.append(ec_stats)

@@ -460,11 +460,15 @@ class SatSolveParams:
     t: int
     sparsity_s: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0 / 3.0:
+    @staticmethod
+    def _check_ranges(delta: float, eps: float) -> None:
+        if not 0.0 < delta < 1.0 / 3.0:
             raise ValueError("delta must lie in (0, 1/3)")
-        if not 0.0 < self.eps < 1.0:
+        if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0,1)")
+
+    def __post_init__(self) -> None:
+        self._check_ranges(self.delta, self.eps)
         if self.t < 1:
             raise ValueError("t must be positive")
         required = 40.0 * math.log2(2.0 / self.delta) ** 2 / self.delta
@@ -475,10 +479,7 @@ class SatSolveParams:
 
     @classmethod
     def for_instance(cls, n_vars: int, delta: float, eps: float) -> "SatSolveParams":
-        if not 0.0 < delta < 1.0 / 3.0:
-            raise ValueError("delta must lie in (0, 1/3)")
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0,1)")
+        cls._check_ranges(delta, eps)  # before t and s divide by them
         t = max(1, math.ceil(delta * n_vars / 2.0 + 2.0 * math.log2(1.0 / eps)))
         s = math.ceil(40.0 * math.log2(2.0 / delta) ** 2 / delta)
         return cls(delta=delta, eps=eps, t=t, sparsity_s=s)

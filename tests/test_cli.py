@@ -240,9 +240,16 @@ _BENCH_CONFIG = {"eps": 0.3, "trials": 2, "master_seed": 11,
     {**_BENCH_CONFIG, "compute_exact": "no"},
     {**_BENCH_CONFIG, "generator": {"problem": "ov", "size": 20}},
     {**_BENCH_CONFIG, "overrides": {"exact_cutoff": "abc"}},
+    # each of these ran the estimator once: a traceback or a wrong count
+    {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "zeta_constant": 0}},
+    {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "core_factor": 1e400}},
+    {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "core_factor": 0}},
+    {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "core_factor": -3}},
+    {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "iteration_factor": 7}},
 ], ids=["top-level-list", "unknown-key", "float-trials", "bool-trials", "string-seed",
         "string-eps", "null-cnf-delta", "string-compute-exact", "unknown-generator-key",
-        "string-override"])
+        "string-override", "zero-zeta-constant", "infinite-core-factor", "zero-core-factor",
+        "negative-core-factor", "unknown-override"])
 def test_malformed_bench_configs_are_usage_errors(runner, tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -1,5 +1,7 @@
 """Trial runner: records, CSV determinism, outcomes, scaling probe."""
 
+import json
+
 import pytest
 
 from fgcount.experiments import (
@@ -145,3 +147,41 @@ def test_scaling_probe_deterministic():
     assert a == b
     text = probe_to_csv(a)
     assert text.splitlines()[1] == "size,median_independence_calls"
+
+
+# Recorded before the edge layer's run record was cut to its counters; each
+# config's estimator reaches the independence oracle, so any change to a
+# count, a call counter or the RNG stream's consumption shows here.
+_PINNED_BENCH = [
+    (
+        {"generator": {"problem": "ov", "n": 400, "d": 24, "density": 0.5, "seed": 3}},
+        "0,2754065370740525465,OK,18,18,0.0,77,1800\n"
+        "1,4284091909457418870,OK,18,18,0.0,71,1800\n"
+        "2,4839520575979731396,OK,18,18,0.0,75,1800\n",
+    ),
+    (
+        {"generator": {"problem": "3sum", "n": 900, "planted_count": 5, "seed": 4},
+         "compute_exact": False},
+        "0,2754065370740525465,OK,5,,,38,600\n"
+        "1,4284091909457418870,OK,5,,,39,600\n"
+        "2,4839520575979731396,OK,5,,,37,600\n",
+    ),
+    (
+        {"generator": {"problem": "nwt", "n": 240, "density": 0.1, "seed": 5}},
+        "0,2754065370740525465,OK,274,274,0.0,85,48837\n"
+        "1,4284091909457418870,OK,274,274,0.0,87,48837\n"
+        "2,4839520575979731396,OK,274,274,0.0,87,48837\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, rows", _PINNED_BENCH, ids=["ov", "3sum", "nwt"])
+def test_bench_csvs_are_pinned(config, rows):
+    payload = {"eps": 0.25, "trials": 3, "master_seed": 7, **config,
+               "overrides": {"exact_cutoff": 0}}
+    cfg = ExperimentConfig.from_json(json.dumps(payload))
+    assert strip_timing(records_to_csv(run_experiment(cfg))) == (
+        "# fgcount-csv v1\n"
+        "trial_id,seed,outcome,estimate,exact,rel_error,independence_calls,adjacency_calls\n"
+        + rows
+    )

@@ -7,9 +7,8 @@ import pytest
 
 from fgcount.edgecount import (
     Core,
-    CoreClass,
     ExactCount,
-    classify_core,
+    _is_unbalancer,
     find_core,
     halve,
 )
@@ -256,22 +255,22 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
         assert sorted(recorder.located) == nonisolated.tolist()
 
 
-# -- classify_core -----------------------------------------------------------
+# -- the unbalancer predicate ----------------------------------------------------
 
 
 def test_classify_empty_is_witness():
-    assert classify_core(np.empty(0, dtype=np.int64), 0.7) is CoreClass.WITNESS
+    assert not _is_unbalancer(np.empty(0, dtype=np.int64), 0.7, 24.0)
 
 
 def test_classify_small_nonempty_is_unbalancer():
     # 24 / 0.5^2 = 96, so a singleton is far below the witness size
-    assert classify_core(np.arange(1), 0.5) is CoreClass.UNBALANCER
-    assert classify_core(np.arange(95), 0.5) is CoreClass.UNBALANCER
+    assert _is_unbalancer(np.arange(1), 0.5, 24.0)
+    assert _is_unbalancer(np.arange(95), 0.5, 24.0)
 
 
 def test_classify_boundary_is_witness():
-    assert classify_core(np.arange(96), 0.5) is CoreClass.WITNESS
-    assert classify_core(np.arange(200), 0.5) is CoreClass.WITNESS
+    assert not _is_unbalancer(np.arange(96), 0.5, 24.0)
+    assert not _is_unbalancer(np.arange(200), 0.5, 24.0)
 
 
 def test_classify_is_pure_and_total():
@@ -280,11 +279,11 @@ def test_classify_is_pure_and_total():
         size = int(gen.integers(0, 500))
         xi = float(gen.uniform(0.01, 0.99))
         s = np.arange(size)
-        first = classify_core(s, xi)
-        assert first is classify_core(s, xi)
-        assert first in (CoreClass.WITNESS, CoreClass.UNBALANCER)
-        # the two classes partition (size, xi) space
-        assert (first is CoreClass.UNBALANCER) == (1 <= size < 24 / xi**2)
+        first = _is_unbalancer(s, xi, 24.0)
+        assert first is _is_unbalancer(s, xi, 24.0)
+        assert first in (False, True)
+        # unbalancer and witness partition (size, xi) space
+        assert first == (1 <= size < 24 / xi**2)
 
 
 # -- halve -------------------------------------------------------------------

@@ -384,6 +384,13 @@ def test_params_formulas():
         SatSolveParams(delta=0.3, eps=0.3, t=5, sparsity_s=3)  # s below bound
 
 
+@pytest.mark.parametrize("delta, eps", [(0.0, 0.3), (-0.1, 0.3), (0.3, 0.0), (0.3, 1.0)])
+def test_params_reject_delta_and_eps_out_of_range(delta, eps):
+    # checked before t and s are computed, which divide by delta and eps
+    with pytest.raises(ValueError):
+        SatSolveParams.for_instance(18, delta, eps)
+
+
 def test_small_instances_brute_forced():
     # n / lg n = 8 / 3 <= 8 / delta for any delta < 1/3: stage-one exact.
     gen = np.random.default_rng(110)
