@@ -137,10 +137,12 @@ def find_core(
     degenerates to exact counting.  Each binary search runs over the window
     after the last vertex found: everything before it is located or
     certified isolated from X, so its queries are order[lo:k] against X for
-    the window start lo.  In the sampled case, the returned set S collects
-    the right vertices adjacent to at least xi*fcc/2 members of Y; with
-    probability >= 1 - 3/n it contains every vertex of degree >= xi |U_X|
-    and nothing of degree below xi |U_X| / 24.
+    the window start lo.  X is bound once before the scan
+    (``BipartiteOracles.bind_right``): the backend prepares it once, and
+    each query sorts and checks only its window.  In the sampled case, the
+    returned set S collects the right vertices adjacent to at least
+    xi*fcc/2 members of Y; with probability >= 1 - 3/n it contains every
+    vertex of degree >= xi |U_X| and nothing of degree below xi |U_X| / 24.
     """
     X = np.asarray(X, dtype=np.int64)
     if X.size == 0:
@@ -164,11 +166,12 @@ def find_core(
 
     # Every vertex before ``lo`` is located or certified isolated from X, so
     # each search only queries the window order[lo:k]; order[lo:lo] is empty.
+    bound_X = oracles.bind_right(X)
     hit_positions: list[int] = []
     lo = 0
     while len(hit_positions) < fcc and lo < t:
         k = _gallop_max_true(
-            lambda k: oracles.independence_query(order[lo:k], X), lo, t
+            lambda k: oracles.independence_query(order[lo:k], bound_X), lo, t
         )
         if k == t:
             break

@@ -8,20 +8,25 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
   (stands in for verifying one candidate witness).
 
 ``BipartiteOracles`` is built from exactly two callables, one per kind of
-query: ``independence(left, right)`` and ``adjacency_block(left, right)``,
-which answers adjacency for a block of pairs.  A backend only ever sees one
-block of at most ``_block_rows(len(right))`` left rows, and adjacency sums
-stream block by block, never holding the whole left x right block.  Single
-pairs and rows are that block on one row; each probed pair counts as one
-adjacency query, so the batching is purely an evaluation detail.  The
-object checks every index against the side sizes and keeps the per-object
-query counters.  Vertex subsets are passed as integer index arrays per
-side; the contract is on set contents, not order.
+query: ``independence(right)``, which receives a right set once and returns
+the predicate ``left -> bool`` that answers queries against it, and
+``adjacency_block(left, right)``, which answers adjacency for a block of
+pairs.  The estimator asks many independence queries against one right set
+X with a changing left window, so it binds X once (``bind_right``) and each
+query sorts and checks only its window.  An adjacency backend only ever
+sees one block of at most ``_block_rows(len(right))`` left rows, and
+adjacency sums stream block by block, never holding the whole left x right
+block.  Single pairs and rows are that block on one row; each probed pair
+counts as one adjacency query, so the batching is purely an evaluation
+detail.  The object checks every index against the side sizes and keeps
+the per-object query counters.  Vertex subsets are passed as integer index
+arrays per side; the contract is on set contents, not order.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,17 +60,39 @@ def _as_index_array(indices) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _check_sorted_bounds(indices: np.ndarray, size: int, side: str) -> None:
+    if indices.size and (indices[0] < 0 or indices[-1] >= size):
+        raise IndexError(f"{side} index out of range")
+
+
+@dataclass(frozen=True, eq=False)
+class _BoundRight:
+    """A right set bound by one ``BipartiteOracles`` object (``owner``).
+
+    ``indices`` is sorted, bounds-checked and read-only; ``predicate`` is
+    what the owner's independence backend returned for it.  Only ``owner``
+    uses the predicate: any other object binds ``indices`` anew.
+    """
+
+    owner: "BipartiteOracles"
+    indices: np.ndarray
+    predicate: Callable[[np.ndarray], bool]
+
+
 class BipartiteOracles:
     """Query access to a hidden bipartite graph, with call counters.
 
-    The graph is given by two callables.  ``independence`` receives two
-    sorted int arrays (left indices, right indices) and must return True
-    iff no edge of the hidden graph joins them.  ``adjacency_block``
-    receives one block of at most ``_block_rows(len(right))`` left rows and
-    returns its adjacency matrix (any nonzero entry is an edge).  The
-    single-pair and single-row adjacency entry points are that block on one
-    row; every probed pair counts as one adjacency query.  All indices are
-    checked against the side sizes first.
+    The graph is given by two callables.  ``independence`` receives a
+    sorted, read-only int array of right indices and returns a predicate;
+    the predicate receives a sorted int array of left indices and must
+    return True iff no edge of the hidden graph joins the two sets.  Any
+    per-right-set work (a mask, a slice) belongs in ``independence`` itself,
+    which runs once per ``bind_right``.  ``adjacency_block`` receives one
+    block of at most ``_block_rows(len(right))`` left rows and returns its
+    adjacency matrix (any nonzero entry is an edge).  The single-pair and
+    single-row adjacency entry points are that block on one row; every
+    probed pair counts as one adjacency query.  All indices are checked
+    against the side sizes first.
 
     Counters are plain attributes mutated under the GIL; concurrent trials
     should each own their oracle object (counters are deliberately not
@@ -76,7 +103,7 @@ class BipartiteOracles:
         self,
         left_size: int,
         right_size: int,
-        independence: Callable[[np.ndarray, np.ndarray], bool],
+        independence: Callable[[np.ndarray], Callable[[np.ndarray], bool]],
         adjacency_block: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> None:
         if left_size < 0 or right_size < 0:
@@ -98,18 +125,35 @@ class BipartiteOracles:
         if right.size and (right.min() < 0 or right.max() >= self.right_size):
             raise IndexError("right index out of range")
 
+    def bind_right(self, right) -> _BoundRight:
+        """Sort, check and prepare a right set once for many independence queries.
+
+        A value this object bound is returned as it is; raw indices, or a
+        value bound by another object, are bound here.  Binding is not a
+        query and counts nothing.
+        """
+        if isinstance(right, _BoundRight):
+            if right.owner is self:
+                return right
+            right = right.indices
+        right = np.sort(_as_index_array(right))
+        _check_sorted_bounds(right, self.right_size, "right")
+        right.flags.writeable = False
+        return _BoundRight(self, right, self._independence(right))
+
     def independence_query(self, left, right) -> bool:
         """True iff the subset (left ∪ right) spans no edge. Counts as one query.
 
-        The underlying callable always receives sorted index arrays (the
-        query is about set contents; sorting is the canonical form, and
-        decision backends may rely on it).
+        ``right`` is raw indices or a ``bind_right`` value; raw indices are
+        bound on the spot.  The predicate always receives a sorted left
+        array (the query is about set contents; sorting is the canonical
+        form, and decision backends may rely on it).
         """
+        bound = self.bind_right(right)
         left = np.sort(_as_index_array(left))
-        right = np.sort(_as_index_array(right))
-        self._check_bounds(left, right)
+        _check_sorted_bounds(left, self.left_size, "left")
         self.independence_calls += 1
-        return bool(self._independence(left, right))
+        return bool(bound.predicate(left))
 
     def _block(self, left, right) -> np.ndarray:
         """The checked, counted block behind all three adjacency entry points."""
@@ -166,9 +210,10 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     """Oracle pair backed by an explicit |U| x |V| boolean matrix.
 
     Used for synthetic graphs and as the ground-truth oracle in tests.
-    Independence queries scan packed left rows in blocks with early exit; a
-    packed bit representation keeps each probe cheap even for wide right
-    sides.  Adjacency blocks are plain gathers of the block they are handed.
+    Binding a right set packs it into one bit mask; each independence query
+    then scans its packed left rows in blocks with early exit, so a probe
+    stays cheap even for wide right sides.  Adjacency blocks are plain
+    gathers of the block they are handed.
     """
     adj = np.ascontiguousarray(np.asarray(adjacency, dtype=bool))
     if adj.ndim != 2:
@@ -178,19 +223,18 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     words = packed.shape[1]
     rows = _block_rows(words)
 
-    def right_mask(right: np.ndarray) -> np.ndarray:
+    def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
         mask = np.zeros(words * 64, dtype=bool)
         mask[right] = True
-        return np.packbits(mask, bitorder="little").view(np.uint64)
+        rmask = np.packbits(mask, bitorder="little").view(np.uint64)
 
-    def independence(left: np.ndarray, right: np.ndarray) -> bool:
-        if left.size == 0 or right.size == 0:
+        def independent(left: np.ndarray) -> bool:
+            for start in range(0, left.size, rows):
+                if (packed[left[start : start + rows]] & rmask).any():
+                    return False
             return True
-        rmask = right_mask(right)
-        for start in range(0, left.size, rows):
-            if (packed[left[start : start + rows]] & rmask).any():
-                return False
-        return True
+
+        return independent
 
     return BipartiteOracles(
         left_size, right_size, independence,
@@ -233,13 +277,17 @@ def amplify(base: Callable[..., bool], target_failure: float) -> Callable[..., b
 def amplified_independence(oracles: BipartiteOracles, target_failure: float) -> BipartiteOracles:
     """View of ``oracles`` whose independence answers are majority-amplified.
 
-    Each independence query fans out into an odd number of queries on
+    Binding a right set on the view binds it once on ``oracles``; each
+    independence query then fans out into an odd number of queries on
     ``oracles``, and adjacency queries pass straight through to it, so its
     counters record the raw decider invocations.
     """
+    vote = amplify(oracles.independence_query, target_failure)
+
+    def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+        bound = oracles.bind_right(right)
+        return lambda left: vote(left, bound)
+
     return BipartiteOracles(
-        oracles.left_size,
-        oracles.right_size,
-        amplify(oracles.independence_query, target_failure),
-        oracles.adjacency_block,
+        oracles.left_size, oracles.right_size, independence, oracles.adjacency_block
     )

@@ -19,9 +19,11 @@ evaluate that kernel, in blocks sized by the one block rule in
 answered on the parent's data, without building a sub-instance.  A
 caller-supplied ``decision=`` procedure keeps the paper's contract: it
 receives the materialized sub-instance and decides whether it has a
-witness.  The built-in deciders are deterministic, so the
-failure-amplification wrapper is engaged only when a caller declares an
-injected decision procedure to be randomized.
+witness; for OV and 3SUM, B's rows for the bound right set are sliced once
+per bind and shared, read-only, by that set's sub-instances.  The built-in
+deciders are deterministic, so the failure-amplification wrapper is
+engaged only when a caller declares an injected decision procedure to be
+randomized.
 
 Counting conventions: duplicate values count with multiplicity everywhere.
 For 3SUM that means tuples, not distinct sums: the exact counter weighs
@@ -92,8 +94,13 @@ class ThreeSumInstance:
         self.c = np.asarray(self.c, dtype=np.int64)
         if self.a.ndim != 1 or self.b.ndim != 1 or self.c.ndim != 1:
             raise ValueError("A, B and C must be flat lists of integers")
+        # -int(arr.min()), not np.abs: abs(-2**63) wraps around in int64.
         largest = max(
-            (int(np.abs(arr).max()) for arr in (self.a, self.b, self.c) if arr.size),
+            (
+                max(int(arr.max()), -int(arr.min()))
+                for arr in (self.a, self.b, self.c)
+                if arr.size
+            ),
             default=0,
         )
         if self.n_bound is None:
@@ -145,13 +152,18 @@ def _as_bit_matrix(x) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+# A triangle's weight is a sum of three int64 edge weights.
+_NWT_WEIGHT_LIMIT = (2**63 - 1) // 3
+
+
 @dataclass
 class NwtInstance:
     """Tripartite weighted graph; witnesses are negative-weight triangles.
 
     ``parts`` are disjoint vertex-id arrays (A, B, C); edges run only
     between different parts.  Weights live on present edges only — a
-    missing edge is absent, not weight zero.
+    missing edge is absent, not weight zero — and each lies within
+    ±(2^63 - 1) // 3, so a triangle's weight sums without overflow.
     """
 
     n_vertices: int
@@ -186,6 +198,9 @@ class NwtInstance:
                 raise ValueError("edges must join part members")
             if (part_of[us] == part_of[vs]).any():
                 raise ValueError("graph must be tripartite (no intra-part edges)")
+            present = self.weights[us, vs]
+            if max(int(present.max()), -int(present.min())) > _NWT_WEIGHT_LIMIT:
+                raise ValueError("edge weights too large for int64 triangle sums")
 
     @classmethod
     def from_edges(
@@ -245,6 +260,14 @@ class CountStats:
 # Witness kernels.
 # --------------------------------------------------------------------------
 
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` (a fresh gather) frozen, so a decider cannot alter it for the
+    other queries against the same bound right set."""
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class _Witnesses:
     """One problem's hidden bipartite graph, evaluated block by block.
@@ -280,13 +303,14 @@ class _Witnesses:
         return sum(int(block.sum()) for block in self._blocks(*self._all()))
 
     def oracles(
-        self, independence: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
+        self,
+        independence: Optional[Callable[[np.ndarray], Callable[[np.ndarray], bool]]] = None,
     ) -> BipartiteOracles:
         """Oracle pair whose block callable is the kernel (nonzero = edge);
         independence defaults to the kernel too."""
         if independence is None:
-            def independence(left: np.ndarray, right: np.ndarray) -> bool:
-                return not self.has_witness(left, right)
+            def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+                return lambda left: not self.has_witness(left, right)
 
         return BipartiteOracles(self.left_size, self.right_size, independence, self.kernel)
 
@@ -326,13 +350,16 @@ def three_sum_oracles(
 ) -> BipartiteOracles:
     """Oracle pair for the pair graph (left = A, right = B, edge iff a+b ∈ C).
 
-    A custom ``decision`` receives the sub-instance (A[left], B[right], C).
+    A custom ``decision`` receives the sub-instance (A[left], B[right], C);
+    B[right] is sliced once per bound right set and is read-only.
     """
     independence = None
     if decision is not None:
-        def independence(left: np.ndarray, right: np.ndarray) -> bool:
-            sub = ThreeSumInstance(inst.a[left], inst.b[right], inst.c, inst.n_bound)
-            return not decision(sub)
+        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+            b = _read_only(inst.b[right])
+            return lambda left: not decision(
+                ThreeSumInstance(inst.a[left], b, inst.c, inst.n_bound)
+            )
 
     return _three_sum_witnesses(inst).oracles(independence)
 
@@ -405,12 +432,14 @@ def ov_oracles(
 ) -> BipartiteOracles:
     """Oracle pair for the orthogonality graph (left = A, right = B).
 
-    A custom ``decision`` receives the sub-instance (A[left], B[right]).
+    A custom ``decision`` receives the sub-instance (A[left], B[right]);
+    B[right] is sliced once per bound right set and is read-only.
     """
     independence = None
     if decision is not None:
-        def independence(left: np.ndarray, right: np.ndarray) -> bool:
-            return not decision(OvInstance(inst.a[left], inst.b[right]))
+        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+            b = _read_only(inst.b[right])
+            return lambda left: not decision(OvInstance(inst.a[left], b))
 
     return _ov_witnesses(inst).oracles(independence)
 
@@ -503,8 +532,8 @@ def nwt_oracles(
     """
     independence = None
     if decision is not None:
-        def independence(left: np.ndarray, right: np.ndarray) -> bool:
-            return not decision(_sub_nwt_instance(inst, left, right))
+        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+            return lambda left: not decision(_sub_nwt_instance(inst, left, right))
 
     return _nwt_witnesses(inst).oracles(independence)
 

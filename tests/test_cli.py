@@ -198,9 +198,14 @@ _NWT_PARTS = {"A": [0], "B": [1], "C": [2]}
     ("count-3sum", {"type": "3sum", "A": [1.5], "B": [1], "C": [2]}),
     ("count-nwt", {"type": "nwt", "parts": {"A": [-1], "B": [1], "C": [2]}, "edges": []}),
     ("count-3sum", {"type": "3sum", "A": [[1, 2]], "B": [1], "C": [2, 3]}),
+    # three weights of 2^62 wrap around int64 to a negative triangle
+    ("count-nwt", {"type": "nwt", "parts": _NWT_PARTS,
+                   "edges": [[0, 1, 2**62], [1, 2, 2**62], [0, 2, 2**62]]}),
+    ("count-3sum", {"type": "3sum", "A": [-(2**63)], "B": [0], "C": [0]}),
 ], ids=["ov-missing-key", "nwt-endpoint-above-n", "ov-negative-entry",
         "bench-missing-instance", "nwt-negative-endpoint", "3sum-float-entry",
-        "nwt-negative-part-member", "3sum-nested-list"])
+        "nwt-negative-part-member", "3sum-nested-list", "nwt-weight-overflow",
+        "3sum-minus-two-to-the-63"])
 def test_malformed_instance_files_are_usage_errors(runner, tmp_path, command, payload):
     if command == "bench":
         payload = {**payload, "instance_path": str(tmp_path / "missing.json")}

@@ -378,12 +378,15 @@ def test_noisy_independence_oracle_is_wrapped():
     base = matrix_oracles(adj)
     flipped = {"count": 0}
 
-    def noisy(left, right):
+    def noisy_left(left):
         truth = True  # empty graph: always independent
         if gen.random() < 0.2:
             flipped["count"] += 1
             return not truth
         return truth
+
+    def noisy(right):
+        return noisy_left
 
     oracles = BipartiteOracles(
         1600, 1600, noisy, lambda u, v: np.zeros((len(u), len(v)), dtype=bool)
@@ -422,9 +425,12 @@ def test_counters_match_instrumented_wrapper_across_a_run():
     adj = gen.random((1700, 1700)) < 0.005
     tally = {"independence": 0, "adjacency": 0}
 
-    def independence(left, right):
-        tally["independence"] += 1
-        return not adj[np.ix_(left, right)].any()
+    def independence(right):
+        def independent(left):
+            tally["independence"] += 1
+            return not adj[np.ix_(left, right)].any()
+
+        return independent
 
     def adjacency_block(left, right):
         tally["adjacency"] += len(left) * len(right)

@@ -201,7 +201,7 @@ def test_sketch_sample_is_first_nonisolated_in_the_ordering():
 
 
 class WindowRecorder:
-    """Independence callable that checks no query repeats a scanned vertex.
+    """Independence backend that checks no query repeats a scanned vertex.
 
     A vertex is certified isolated when a query containing it answers
     independent, and located when a dependent query's only uncertified
@@ -217,8 +217,11 @@ class WindowRecorder:
         self.scanned: set = set()
         self.located: list = []
 
-    def __call__(self, left, right):
+    def __call__(self, right):
         np.testing.assert_array_equal(right, self.X)
+        return lambda left: self.query(left, right)
+
+    def query(self, left, right):
         members = set(left.tolist())
         assert not members & self.scanned
         answer = not self.adj[np.ix_(left, right)].any()
@@ -253,6 +256,26 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
         assert out.count == int(adj[:, X].sum())
         nonisolated = np.flatnonzero(adj[:, X].any(axis=1))
         assert sorted(recorder.located) == nonisolated.tolist()
+
+
+@pytest.mark.parametrize("density, xi, x_size", [(0.01, 0.3, 1024), (0.002, 0.5, 200)])
+def test_find_core_prepares_x_once_per_pass(density, xi, x_size):
+    gen = np.random.default_rng(41)
+    adj = gen.random((1024, 1024)) < density
+    X = np.arange(x_size)
+    prepared = []
+
+    def independence(right):
+        prepared.append(right)
+        return lambda left: not adj[np.ix_(left, right)].any()
+
+    oracles = BipartiteOracles(1024, 1024, independence, lambda u, v: adj[np.ix_(u, v)])
+    for seed in (8, 9):
+        find_core(oracles, X, xi, RngStream(seed))
+    assert len(prepared) == 2
+    assert oracles.independence_calls > 2 * math.log2(1024)
+    for right in prepared:
+        np.testing.assert_array_equal(right, X)
 
 
 # -- the unbalancer predicate ----------------------------------------------------

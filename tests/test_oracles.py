@@ -14,6 +14,17 @@ from fgcount.oracles import (
     matrix_oracles,
     repetitions_for,
 )
+from fgcount.reductions import (
+    NwtInstance,
+    OvInstance,
+    ThreeSumInstance,
+    decide_3sum,
+    decide_nwt,
+    decide_ov,
+    nwt_oracles,
+    ov_oracles,
+    three_sum_oracles,
+)
 
 
 def edge_set_oracles(left_size, right_size, edges):
@@ -71,9 +82,12 @@ def test_counters_match_instrumented_wrapper_exactly():
     adj = gen.random((25, 25)) < 0.3
     tally = {"independence": 0, "adjacency": 0}
 
-    def independence(left, right):
-        tally["independence"] += 1
-        return not adj[np.ix_(left, right)].any()
+    def independence(right):
+        def independent(left):
+            tally["independence"] += 1
+            return not adj[np.ix_(left, right)].any()
+
+        return independent
 
     def adjacency_block(left, right):
         tally["adjacency"] += len(left) * len(right)
@@ -211,9 +225,12 @@ def test_amplified_wrapper_fixes_a_noisy_decider():
     adj = np.zeros((8, 8), dtype=bool)
     adj[0, 0] = True
 
-    def noisy_independence(left, right):
-        truth = not adj[np.ix_(left, right)].any()
-        return truth if gen.random() >= 0.3 else (not truth)
+    def noisy_independence(right):
+        def noisy(left):
+            truth = not adj[np.ix_(left, right)].any()
+            return truth if gen.random() >= 0.3 else (not truth)
+
+        return noisy
 
     oracles = BipartiteOracles(8, 8, noisy_independence, lambda u, v: adj[np.ix_(u, v)])
     wrapped = amplified_independence(oracles, 1e-4)
@@ -256,7 +273,7 @@ def test_backend_sees_one_block_at_a_time():
         seen.append((left.size, right.size))
         return adj[np.ix_(left, right)]
 
-    oracles = BipartiteOracles(700, 3000, lambda left, right: True, backend)
+    oracles = BipartiteOracles(700, 3000, lambda right: lambda left: True, backend)
     left, right = np.arange(700), np.arange(3000)
     assert _block_rows(right.size) < 256
     np.testing.assert_array_equal(oracles.adjacency_block(left, right), adj)
@@ -327,3 +344,147 @@ def test_non_integer_indices_rejected(bad):
     # An empty list is float64 to numpy but still the empty subset.
     assert oracles.count_edges_incident([], [0, 1]) == 0
     assert oracles.independence_query([], [])
+
+
+# -- binding a right set -----------------------------------------------------
+
+
+def _small_nwt(gen):
+    ids = np.arange(18)
+    parts = (ids[:6], ids[6:12], ids[12:])
+    edges = [
+        (int(u), int(v), int(gen.integers(-20, 21)))
+        for rows, cols in ((parts[0], parts[1]), (parts[0], parts[2]), (parts[1], parts[2]))
+        for u in rows
+        for v in cols
+        if gen.random() < 0.6
+    ]
+    return NwtInstance.from_edges(parts, edges, n_vertices=18)
+
+
+_GEN = np.random.default_rng(90)
+_ADJ = _GEN.random((40, 30)) < 0.08
+_OV = OvInstance(_GEN.random((24, 10)) < 0.3, _GEN.random((20, 10)) < 0.3)
+_3SUM = ThreeSumInstance(
+    _GEN.integers(-30, 31, 24), _GEN.integers(-30, 31, 20), _GEN.integers(-30, 31, 12)
+)
+_NWT = _small_nwt(_GEN)
+_BINDING_CASES = {
+    "matrix": lambda: matrix_oracles(_ADJ),
+    "amplified": lambda: amplified_independence(matrix_oracles(_ADJ), 0.05),
+    "ov-kernel": lambda: ov_oracles(_OV),
+    "ov-decision": lambda: ov_oracles(_OV, decide_ov),
+    "3sum-kernel": lambda: three_sum_oracles(_3SUM),
+    "3sum-decision": lambda: three_sum_oracles(_3SUM, decide_3sum),
+    "nwt-kernel": lambda: nwt_oracles(_NWT),
+    "nwt-decision": lambda: nwt_oracles(_NWT, decide_nwt),
+}
+
+
+@pytest.mark.parametrize("case", list(_BINDING_CASES))
+def test_bound_query_answers_as_the_raw_query(case):
+    oracles = _BINDING_CASES[case]()
+    nl, nr = oracles.left_size, oracles.right_size
+    edges = oracles.adjacency_block(np.arange(nl), np.arange(nr))
+    assert edges.any() and not edges.all()
+    gen = np.random.default_rng(91)
+    rights = [np.empty(0, dtype=np.int64)]
+    rights += [gen.permutation(nr)[: int(gen.integers(1, nr + 1))] for _ in range(8)]
+    for right in rights:
+        bound = oracles.bind_right(right)
+        lefts = [np.empty(0, dtype=np.int64)]
+        lefts += [gen.permutation(nl)[: int(gen.integers(1, nl + 1))] for _ in range(10)]
+        for left in lefts:
+            expected = not edges[np.ix_(left, right)].any()
+            assert oracles.independence_query(left, bound) == expected
+            assert oracles.independence_query(left, right) == expected
+
+
+def test_binding_counts_nothing_and_each_query_counts_one():
+    oracles = matrix_oracles(np.eye(6, dtype=bool))
+    bound = oracles.bind_right([4, 1, 3])
+    assert (oracles.independence_calls, oracles.adjacency_calls) == (0, 0)
+    assert not oracles.independence_query([3], bound)
+    assert oracles.independence_query([0, 2], bound)
+    assert oracles.independence_query([0], [5])
+    assert (oracles.independence_calls, oracles.adjacency_calls) == (3, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_right_indices_are_checked_at_bind(bad):
+    oracles = matrix_oracles(np.zeros((4, 6), dtype=bool))
+    with pytest.raises(IndexError):
+        oracles.bind_right([0, bad])
+    with pytest.raises(IndexError):
+        oracles.independence_query([0], [bad, 0])
+    assert oracles.independence_calls == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_left_indices_are_checked_at_query(bad):
+    oracles = matrix_oracles(np.zeros((4, 6), dtype=bool))
+    bound = oracles.bind_right([0, 5])
+    with pytest.raises(IndexError):
+        oracles.independence_query([bad, 1], bound)
+    assert oracles.independence_calls == 0
+
+
+def test_bound_indices_are_a_sorted_read_only_copy():
+    seen = []
+
+    def independence(right):
+        seen.append(right)
+        return lambda left: True
+
+    oracles = BipartiteOracles(6, 6, independence, lambda u, v: np.zeros((len(u), len(v))))
+    right = np.array([5, 0, 3])
+    bound = oracles.bind_right(right)
+    np.testing.assert_array_equal(bound.indices, [0, 3, 5])
+    assert seen == [bound.indices]
+    assert not bound.indices.flags.writeable
+    with pytest.raises(ValueError):
+        bound.indices[0] = 1
+    assert right.flags.writeable and right.tolist() == [5, 0, 3]
+
+
+def _recording(adj, prepared):
+    """Oracles over ``adj`` whose independence backend appends each right
+    set it prepares to ``prepared``."""
+
+    def independence(right):
+        prepared.append(right)
+        return lambda left: not adj[np.ix_(left, right)].any()
+
+    return BipartiteOracles(*adj.shape, independence, lambda u, v: adj[np.ix_(u, v)])
+
+
+def test_a_value_bound_by_another_object_is_bound_again():
+    prepared_a, prepared_b = [], []
+    a = _recording(np.zeros((4, 4), dtype=bool), prepared_a)
+    b = _recording(np.eye(4, dtype=bool), prepared_b)
+    bound = a.bind_right([2])
+    assert a.bind_right(bound) is bound
+    assert a.independence_query([2], bound)
+    assert not b.independence_query([2], bound)  # b has the edge (2, 2)
+    assert (len(prepared_a), len(prepared_b)) == (1, 1)
+    assert (a.independence_calls, b.independence_calls) == (1, 1)
+    # binding anew checks the indices against the new object's right side
+    narrow = matrix_oracles(np.zeros((4, 2), dtype=bool))
+    with pytest.raises(IndexError):
+        narrow.independence_query([0], bound)
+
+
+def test_amplified_query_prepares_the_inner_object_once_per_outer_bind():
+    prepared = []
+    adj = np.zeros((8, 8), dtype=bool)
+    adj[1, 3] = True
+    inner = _recording(adj, prepared)
+    wrapped = amplified_independence(inner, 0.05)
+    bound = wrapped.bind_right([3, 1])
+    assert len(prepared) == 1
+    for left in ([0], [1], [0, 2], []):
+        assert wrapped.independence_query(left, bound) == (1 not in left)
+    assert len(prepared) == 1
+    assert inner.independence_calls == 4 * repetitions_for(0.05)
+    wrapped.independence_query([1], [3])  # raw indices: a bind of its own
+    assert len(prepared) == 2

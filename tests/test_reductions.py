@@ -178,6 +178,45 @@ def test_three_sum_subinstances_are_valid_and_reuse_c():
     np.testing.assert_array_equal(seen[0].c, inst.c)
 
 
+@pytest.mark.parametrize("n_bound", [5, None])
+def test_three_sum_bound_check_sees_minus_two_to_the_63(n_bound):
+    # np.abs(-2**63) wraps to -2**63 in int64.
+    with pytest.raises(ValueError):
+        ThreeSumInstance([-(2**63)], [0], [0], n_bound=n_bound)
+
+
+@pytest.mark.parametrize("problem", ["ov", "3sum"])
+def test_custom_deciders_see_read_only_right_slices(problem):
+    # Two queries against one bound right set share its B slice; a decider
+    # that writes to it fails, and the second query sees it unmodified.
+    gen = np.random.default_rng(230)
+    if problem == "ov":
+        inst = OvInstance(gen.random((10, 6)) < 0.4, gen.random((9, 6)) < 0.4)
+        build = ov_oracles
+    else:
+        inst = ThreeSumInstance(
+            gen.integers(-9, 10, 10), gen.integers(-9, 10, 9), gen.integers(-9, 10, 6)
+        )
+        build = three_sum_oracles
+    original = inst.b.copy()
+    seen = []
+
+    def decision(sub):
+        seen.append(sub.b.copy())
+        sub.b[0] = 1 - sub.b[0]
+        return False
+
+    oracles = build(inst, decision)
+    bound = oracles.bind_right([6, 2, 4])
+    for left in ([0, 1], [5]):
+        with pytest.raises(ValueError, match="read-only"):
+            oracles.independence_query(left, bound)
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0], seen[1])
+    np.testing.assert_array_equal(seen[0], original[[2, 4, 6]])
+    np.testing.assert_array_equal(inst.b, original)
+
+
 def test_count_3sum_exact_fallbacks():
     inst = ThreeSumInstance([0, 0], [0, 0], [0])
     assert count_3sum(inst, 0.1, RngStream(1)) == 4
@@ -333,6 +372,18 @@ def test_nwt_custom_decision_receives_subinstance():
     oracles = nwt_oracles(inst, decision)
     oracles.independence_query(np.arange(2), np.arange(min(3, oracles.right_size)))
     assert len(seen) == 1 and isinstance(seen[0], NwtInstance)
+
+
+def test_nwt_rejects_weights_too_large_for_int64_sums():
+    # Three weights of 2^62 sum past 2^63 and wrap to a negative triangle.
+    limit = (2**63 - 1) // 3
+    for w in (2**62, limit + 1, -limit - 1):
+        with pytest.raises(ValueError, match="too large"):
+            _single_triangle(w, w, w)
+    inst = _single_triangle(limit, -limit, -limit)
+    assert (count_nwt_exact(inst), decide_nwt(inst), decide_nwt_via_apsp(inst)) == (1, True, True)
+    inst = _single_triangle(limit, limit, limit)
+    assert (count_nwt_exact(inst), decide_nwt(inst), decide_nwt_via_apsp(inst)) == (0, False, False)
 
 
 def test_count_nwt_trivial_and_exact_fallback():
