@@ -10,13 +10,15 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
 ``BipartiteOracles`` is built from exactly two callables, one per kind of
 query: ``independence(right)``, which receives a right set once and returns
 the predicate ``left -> bool`` that answers queries against it, and
-``adjacency_block(left, right)``, which answers adjacency for a block of
-pairs.  The estimator asks many independence queries against one right set
-X with a changing left window, so it binds X once (``bind_right``) and each
-query sorts and checks only its window.  An adjacency backend only ever
-sees one block of at most ``_block_rows(len(right))`` left rows, and
-adjacency sums stream block by block, never holding the whole left x right
-block.  Single pairs and rows are that block on one row; each probed pair
+``adjacency(left, right)``, which returns, for each entry of ``right``, its
+number of neighbours in one chunk of left rows.  Those are the two things
+the estimator consumes: it asks many independence queries against one
+right set X with a changing left window, so it binds X once
+(``bind_right``) and each query sorts and checks only its window; and it
+reads edges only as sums (edge masses, degrees into a sample), so an
+adjacency backend answers in sums.  It only ever sees one chunk of at most
+``_block_rows(len(right))`` left rows.  Single pairs, rows and blocks are
+assembled from one-row calls, where a count is 0 or 1.  Each probed pair
 counts as one adjacency query, so the batching is purely an evaluation
 detail.  The object checks every index against the side sizes and keeps
 the per-object query counters.  Vertex subsets are passed as integer index
@@ -51,18 +53,22 @@ def _block_rows(width: int) -> int:
     return max(1, min(_CHUNK, _BLOCK_PAIRS // max(width, 1)))
 
 
-def _as_index_array(indices) -> np.ndarray:
+def _as_index_array(indices, copy: bool = False) -> np.ndarray:
     arr = np.asarray(indices)
     if arr.dtype.kind not in "iu" and arr.size:  # np.asarray([]) is float64
         raise TypeError(f"vertex indices must be integers, not {arr.dtype}")
     if arr.ndim != 1:
         raise ValueError("vertex subsets must be one-dimensional index sequences")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64, copy=copy)
 
 
-def _check_sorted_bounds(indices: np.ndarray, size: int, side: str) -> None:
-    if indices.size and (indices[0] < 0 or indices[-1] >= size):
+def _sorted_indices(indices, size: int, side: str) -> np.ndarray:
+    """A sorted int64 copy of ``indices``, checked at its ends against ``size``."""
+    arr = _as_index_array(indices, copy=True)
+    arr.sort()
+    if arr.size and not (0 <= int(arr[0]) and int(arr[-1]) < size):
         raise IndexError(f"{side} index out of range")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +93,17 @@ class BipartiteOracles:
     the predicate receives a sorted int array of left indices and must
     return True iff no edge of the hidden graph joins the two sets.  Any
     per-right-set work (a mask, a slice) belongs in ``independence`` itself,
-    which runs once per ``bind_right``.  ``adjacency_block`` receives one
-    block of at most ``_block_rows(len(right))`` left rows and returns its
-    adjacency matrix (any nonzero entry is an edge).  The single-pair and
-    single-row adjacency entry points are that block on one row; every
-    probed pair counts as one adjacency query.  All indices are checked
-    against the side sizes first.
+    which runs once per ``bind_right``.  ``adjacency`` receives one chunk of
+    at most ``_block_rows(len(right))`` left indices and the right indices,
+    and returns one integer per entry of ``right``: its number of
+    neighbours in the chunk.  ``neighbor_counts`` and
+    ``count_edges_incident`` sum those answers chunk by chunk; the
+    single-pair, single-row and block entry points are built from one-row
+    calls, whose counts are 0/1.  Every probed pair counts as one adjacency
+    query, and all indices are checked against the side sizes first.
+
+    A backend must not hold the object it backs: the cycle would keep the
+    object, and whatever its backends hold, alive until cyclic GC.
 
     Counters are plain attributes mutated under the GIL; concurrent trials
     should each own their oracle object (counters are deliberately not
@@ -104,26 +115,20 @@ class BipartiteOracles:
         left_size: int,
         right_size: int,
         independence: Callable[[np.ndarray], Callable[[np.ndarray], bool]],
-        adjacency_block: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        adjacency: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> None:
         if left_size < 0 or right_size < 0:
             raise ValueError("side sizes must be nonnegative")
         self.left_size = int(left_size)
         self.right_size = int(right_size)
         self._independence = independence
-        self._adjacency_block = adjacency_block
+        self._adjacency = adjacency
         self.independence_calls = 0
         self.adjacency_calls = 0
 
     @property
     def total_vertices(self) -> int:
         return self.left_size + self.right_size
-
-    def _check_bounds(self, left: np.ndarray, right: np.ndarray) -> None:
-        if left.size and (left.min() < 0 or left.max() >= self.left_size):
-            raise IndexError("left index out of range")
-        if right.size and (right.min() < 0 or right.max() >= self.right_size):
-            raise IndexError("right index out of range")
 
     def bind_right(self, right) -> _BoundRight:
         """Sort, check and prepare a right set once for many independence queries.
@@ -136,8 +141,7 @@ class BipartiteOracles:
             if right.owner is self:
                 return right
             right = right.indices
-        right = np.sort(_as_index_array(right))
-        _check_sorted_bounds(right, self.right_size, "right")
+        right = _sorted_indices(right, self.right_size, "right")
         right.flags.writeable = False
         return _BoundRight(self, right, self._independence(right))
 
@@ -149,22 +153,29 @@ class BipartiteOracles:
         array (the query is about set contents; sorting is the canonical
         form, and decision backends may rely on it).
         """
-        bound = self.bind_right(right)
-        left = np.sort(_as_index_array(left))
-        _check_sorted_bounds(left, self.left_size, "left")
+        if not (isinstance(right, _BoundRight) and right.owner is self):
+            right = self.bind_right(right)
+        left = _sorted_indices(left, self.left_size, "left")
         self.independence_calls += 1
-        return bool(bound.predicate(left))
+        return bool(right.predicate(left))
+
+    def _counted(self, left, right) -> tuple[np.ndarray, np.ndarray]:
+        """Both index sets, checked, then counted as |left|·|right| queries."""
+        left = _as_index_array(left)
+        right = _as_index_array(right)
+        if left.size and (left.min() < 0 or left.max() >= self.left_size):
+            raise IndexError("left index out of range")
+        if right.size and (right.min() < 0 or right.max() >= self.right_size):
+            raise IndexError("right index out of range")
+        self.adjacency_calls += int(left.size) * int(right.size)
+        return left, right
 
     def _block(self, left, right) -> np.ndarray:
         """The checked, counted block behind all three adjacency entry points."""
-        left = _as_index_array(left)
-        right = _as_index_array(right)
-        self._check_bounds(left, right)
-        self.adjacency_calls += int(left.size) * int(right.size)
+        left, right = self._counted(left, right)
         out = np.empty((left.size, right.size), dtype=bool)
-        step = _block_rows(right.size)
-        for start in range(0, left.size, step):
-            out[start : start + step] = self._adjacency_block(left[start : start + step], right)
+        for i in range(left.size):
+            out[i] = self._adjacency(left[i : i + 1], right)
         return out
 
     def adjacency_query(self, u: int, v: int) -> bool:
@@ -183,17 +194,16 @@ class BipartiteOracles:
         return self._block(left, right)
 
     def neighbor_counts(self, left, right) -> np.ndarray:
-        """Neighbours in ``left`` of each vertex of ``right`` (int64), summed per block."""
-        left = _as_index_array(left)
-        right = _as_index_array(right)
+        """Neighbours in ``left`` of each vertex of ``right`` (int64), summed per chunk."""
+        left, right = self._counted(left, right)
         counts = np.zeros(right.size, dtype=np.int64)
         step = _block_rows(right.size)
         for start in range(0, left.size, step):
-            counts += self.adjacency_block(left[start : start + step], right).sum(axis=0)
+            counts += self._adjacency(left[start : start + step], right)
         return counts
 
     def count_edges_incident(self, left, right) -> int:
-        """Exact number of edges between the two index sets (streamed block sums)."""
+        """Exact number of edges between the two index sets (chunked sums)."""
         return int(self.neighbor_counts(left, right).sum())
 
 
@@ -210,15 +220,18 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     """Oracle pair backed by an explicit |U| x |V| boolean matrix.
 
     Used for synthetic graphs and as the ground-truth oracle in tests.
-    Binding a right set packs it into one bit mask; each independence query
-    then scans its packed left rows in blocks with early exit, so a probe
-    stays cheap even for wide right sides.  Adjacency blocks are plain
-    gathers of the block they are handed.
+    Binding a right set X packs it into one bit mask and ANDs it with the
+    packed rows, in row blocks, into one bool per left vertex: does it touch
+    X?  Each independence query is then one gather of its window from that
+    mask.  The adjacency backend sums the chunk's full rows as bytes into a
+    uint16 accumulator (a chunk has at most 256 rows) and then selects the
+    right entries.
     """
     adj = np.ascontiguousarray(np.asarray(adjacency, dtype=bool))
     if adj.ndim != 2:
         raise ValueError("adjacency must be a 2-D boolean matrix")
     left_size, right_size = adj.shape
+    row_bytes = adj.view(np.uint8)
     packed = _pack_rows(adj)
     words = packed.shape[1]
     rows = _block_rows(words)
@@ -227,19 +240,15 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
         mask = np.zeros(words * 64, dtype=bool)
         mask[right] = True
         rmask = np.packbits(mask, bitorder="little").view(np.uint64)
+        touched = np.empty(left_size, dtype=bool)
+        for start in range(0, left_size, rows):
+            np.any(packed[start : start + rows] & rmask, axis=1, out=touched[start : start + rows])
+        return lambda left: not np.count_nonzero(touched[left])
 
-        def independent(left: np.ndarray) -> bool:
-            for start in range(0, left.size, rows):
-                if (packed[left[start : start + rows]] & rmask).any():
-                    return False
-            return True
+    def adjacency(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return row_bytes.take(left, axis=0).sum(axis=0, dtype=np.uint16)[right]
 
-        return independent
-
-    return BipartiteOracles(
-        left_size, right_size, independence,
-        lambda left, right: adj.take(left, axis=0).take(right, axis=1),
-    )
+    return BipartiteOracles(left_size, right_size, independence, adjacency)
 
 
 # --------------------------------------------------------------------------
@@ -279,8 +288,8 @@ def amplified_independence(oracles: BipartiteOracles, target_failure: float) -> 
 
     Binding a right set on the view binds it once on ``oracles``; each
     independence query then fans out into an odd number of queries on
-    ``oracles``, and adjacency queries pass straight through to it, so its
-    counters record the raw decider invocations.
+    ``oracles``, and adjacency is answered by ``oracles.neighbor_counts``,
+    so its counters record the raw decider invocations and probed pairs.
     """
     vote = amplify(oracles.independence_query, target_failure)
 
@@ -289,5 +298,5 @@ def amplified_independence(oracles: BipartiteOracles, target_failure: float) -> 
         return lambda left: vote(left, bound)
 
     return BipartiteOracles(
-        oracles.left_size, oracles.right_size, independence, oracles.adjacency_block
+        oracles.left_size, oracles.right_size, independence, oracles.neighbor_counts
     )

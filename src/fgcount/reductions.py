@@ -277,7 +277,9 @@ class _Witnesses:
     multiplicity of a + b in C for 3SUM.  It runs on data the instance
     already holds, so the decider, the exact counter, adjacency and the
     built-in independence query are all this one test, run on blocks of
-    left rows sized by ``oracles._block_rows``.
+    left rows sized by ``oracles._block_rows``.  Adjacency answers in
+    neighbour counts, so it counts a block's nonzero entries per column:
+    a pair with any multiplicity is one edge.
     """
 
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -306,13 +308,16 @@ class _Witnesses:
         self,
         independence: Optional[Callable[[np.ndarray], Callable[[np.ndarray], bool]]] = None,
     ) -> BipartiteOracles:
-        """Oracle pair whose block callable is the kernel (nonzero = edge);
-        independence defaults to the kernel too."""
+        """Oracle pair whose adjacency counts the kernel's nonzero entries
+        per right column; independence defaults to the kernel too."""
         if independence is None:
             def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
                 return lambda left: not self.has_witness(left, right)
 
-        return BipartiteOracles(self.left_size, self.right_size, independence, self.kernel)
+        return BipartiteOracles(
+            self.left_size, self.right_size, independence,
+            lambda left, right: np.count_nonzero(self.kernel(left, right), axis=0),
+        )
 
 
 # --------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def _bip_loop(seed: int) -> dict:
 
 def _star() -> dict:
     adj = star_skewed_bipartite(2_000, 500, RngStream(5))
-    return _graph_run(adj, RngStream(6), _loop_config(2_500, 0.9, exact_cutoff=0, core_factor=0.25))
+    config = _loop_config(2_500, 0.9, exact_cutoff=0, core_factor=0.25)
+    return _graph_run(adj, RngStream(6), config)
 
 
 def _counter_run(count, inst, n: int, core_factor: float, **kwargs) -> dict:

@@ -247,7 +247,9 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
     adj = gen.random((left, right)) < density
     X = np.arange(x_size)
     recorder = WindowRecorder(adj, X)
-    oracles = BipartiteOracles(left, right, recorder, lambda u, v: adj[np.ix_(u, v)])
+    oracles = BipartiteOracles(
+        left, right, recorder, lambda u, v: adj[np.ix_(u, v)].sum(axis=0)
+    )
     calls = record_samples(oracles)
     out = find_core(oracles, X, xi, RngStream(8))
     if isinstance(out, Core):
@@ -269,7 +271,9 @@ def test_find_core_prepares_x_once_per_pass(density, xi, x_size):
         prepared.append(right)
         return lambda left: not adj[np.ix_(left, right)].any()
 
-    oracles = BipartiteOracles(1024, 1024, independence, lambda u, v: adj[np.ix_(u, v)])
+    oracles = BipartiteOracles(
+        1024, 1024, independence, lambda u, v: adj[np.ix_(u, v)].sum(axis=0)
+    )
     for seed in (8, 9):
         find_core(oracles, X, xi, RngStream(seed))
     assert len(prepared) == 2

@@ -1,11 +1,14 @@
 """Oracle contracts: independence vs explicit edges, counters, amplification."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from fgcount.oracles import (
+    _CHUNK,
     BipartiteOracles,
     _block_rows,
     _pack_rows,
@@ -89,11 +92,11 @@ def test_counters_match_instrumented_wrapper_exactly():
 
         return independent
 
-    def adjacency_block(left, right):
+    def adjacency(left, right):
         tally["adjacency"] += len(left) * len(right)
-        return adj[np.ix_(left, right)]
+        return adj[np.ix_(left, right)].sum(axis=0)
 
-    oracles = BipartiteOracles(25, 25, independence, adjacency_block)
+    oracles = BipartiteOracles(25, 25, independence, adjacency)
     for _ in range(30):
         lsel = np.flatnonzero(gen.random(25) < 0.5)
         rsel = np.flatnonzero(gen.random(25) < 0.5)
@@ -232,7 +235,9 @@ def test_amplified_wrapper_fixes_a_noisy_decider():
 
         return noisy
 
-    oracles = BipartiteOracles(8, 8, noisy_independence, lambda u, v: adj[np.ix_(u, v)])
+    oracles = BipartiteOracles(
+        8, 8, noisy_independence, lambda u, v: adj[np.ix_(u, v)].sum(axis=0)
+    )
     wrapped = amplified_independence(oracles, 1e-4)
     wrong = 0
     for _ in range(200):
@@ -271,7 +276,7 @@ def test_backend_sees_one_block_at_a_time():
 
     def backend(left, right):
         seen.append((left.size, right.size))
-        return adj[np.ix_(left, right)]
+        return adj[np.ix_(left, right)].sum(axis=0)
 
     oracles = BipartiteOracles(700, 3000, lambda right: lambda left: True, backend)
     left, right = np.arange(700), np.arange(3000)
@@ -436,7 +441,7 @@ def test_bound_indices_are_a_sorted_read_only_copy():
         seen.append(right)
         return lambda left: True
 
-    oracles = BipartiteOracles(6, 6, independence, lambda u, v: np.zeros((len(u), len(v))))
+    oracles = BipartiteOracles(6, 6, independence, lambda u, v: np.zeros(len(v), dtype=int))
     right = np.array([5, 0, 3])
     bound = oracles.bind_right(right)
     np.testing.assert_array_equal(bound.indices, [0, 3, 5])
@@ -455,7 +460,9 @@ def _recording(adj, prepared):
         prepared.append(right)
         return lambda left: not adj[np.ix_(left, right)].any()
 
-    return BipartiteOracles(*adj.shape, independence, lambda u, v: adj[np.ix_(u, v)])
+    return BipartiteOracles(
+        *adj.shape, independence, lambda u, v: adj[np.ix_(u, v)].sum(axis=0)
+    )
 
 
 def test_a_value_bound_by_another_object_is_bound_again():
@@ -488,3 +495,122 @@ def test_amplified_query_prepares_the_inner_object_once_per_outer_bind():
     assert inner.independence_calls == 4 * repetitions_for(0.05)
     wrapped.independence_query([1], [3])  # raw indices: a bind of its own
     assert len(prepared) == 2
+
+
+# -- one adjacency protocol ---------------------------------------------------
+
+_GEN_P = np.random.default_rng(92)
+_3SUM_DUP = ThreeSumInstance(  # every C value three times
+    _GEN_P.integers(-30, 31, 24), _GEN_P.integers(-30, 31, 20),
+    np.repeat(_GEN_P.integers(-30, 31, 6), 3),
+)
+
+
+def _nwt_edges(inst):
+    """Dense A x (B-C edge) witness matrix, triangle by triangle."""
+    vb, vc = inst.bc_edges()
+    adj, w = inst.adjacency, inst.weights
+    out = np.zeros((inst.part_a.size, vb.size), dtype=bool)
+    for i, a in enumerate(inst.part_a):
+        for j, (b, c) in enumerate(zip(vb, vc)):
+            out[i, j] = adj[a, b] and adj[a, c] and w[a, b] + w[b, c] + w[c, a] < 0
+    return out
+
+
+_OV_EDGES = (_OV.a.astype(int) @ _OV.b.astype(int).T) == 0
+_3SUM_EDGES = np.isin(_3SUM_DUP.a[:, None] + _3SUM_DUP.b[None, :], _3SUM_DUP.c)
+_NWT_EDGES = _nwt_edges(_NWT)
+_PROTOCOL_CASES = {
+    "matrix": (lambda: matrix_oracles(_ADJ), _ADJ),
+    "amplified": (lambda: amplified_independence(matrix_oracles(_ADJ), 0.05), _ADJ),
+    "ov-kernel": (lambda: ov_oracles(_OV), _OV_EDGES),
+    "ov-decision": (lambda: ov_oracles(_OV, decide_ov), _OV_EDGES),
+    "3sum-kernel": (lambda: three_sum_oracles(_3SUM_DUP), _3SUM_EDGES),
+    "3sum-decision": (lambda: three_sum_oracles(_3SUM_DUP, decide_3sum), _3SUM_EDGES),
+    "nwt-kernel": (lambda: nwt_oracles(_NWT), _NWT_EDGES),
+    "nwt-decision": (lambda: nwt_oracles(_NWT, decide_nwt), _NWT_EDGES),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROTOCOL_CASES))
+def test_every_adjacency_entry_point_agrees_with_the_dense_matrix(case):
+    make, adj = _PROTOCOL_CASES[case]
+    oracles = make()
+    nl, nr = adj.shape
+    assert (oracles.left_size, oracles.right_size) == (nl, nr)
+    assert adj.any() and not adj.all()
+    if case.startswith("3sum"):
+        assert np.unique(_3SUM_DUP.c).size < _3SUM_DUP.c.size
+    gen = np.random.default_rng(93)
+    wide = 2100  # a chunk this wide holds fewer than _CHUNK rows
+    assert _block_rows(wide) < _CHUNK
+    shapes = [
+        (0, 0), (0, 5), (5, 0), (_CHUNK + 1, 1), (2 * _CHUNK + 88, 37), (_CHUNK + 44, wide),
+    ]
+    for n_left, n_right in shapes:
+        left = gen.integers(0, nl, size=n_left)  # repeats: a multiset of indices
+        right = gen.integers(0, nr, size=n_right)
+        expected = adj[np.ix_(left, right)]
+        pairs = n_left * n_right
+        before = oracles.adjacency_calls
+        counts = oracles.neighbor_counts(left, right)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected.sum(axis=0))
+        assert oracles.adjacency_calls == before + pairs
+        assert oracles.count_edges_incident(left, right) == int(expected.sum())
+        assert oracles.adjacency_calls == before + 2 * pairs
+        block = oracles.adjacency_block(left, right)
+        assert block.dtype == bool
+        np.testing.assert_array_equal(block, expected)
+        assert oracles.adjacency_calls == before + 3 * pairs
+    right = gen.integers(0, nr, size=wide)
+    for u in gen.integers(0, nl, size=4):
+        before = oracles.adjacency_calls
+        row = oracles.adjacency_row(u, right)
+        np.testing.assert_array_equal(row, adj[u, right])
+        assert oracles.adjacency_query(u, right[0]) is bool(adj[u, right[0]])
+        assert oracles.adjacency_calls == before + wide + 1
+    assert oracles.independence_calls == 0
+
+
+@pytest.mark.parametrize("bad", [-5, 3, 99])
+def test_both_sides_are_checked_when_the_other_is_empty(bad):
+    oracles = matrix_oracles(np.eye(3, dtype=bool))
+    for query in (
+        oracles.neighbor_counts, oracles.count_edges_incident,
+        oracles.adjacency_block, oracles.independence_query,
+    ):
+        with pytest.raises(IndexError):
+            query([], [bad])
+        with pytest.raises(IndexError):
+            query([bad], [])
+    assert (oracles.independence_calls, oracles.adjacency_calls) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [matrix_oracles, lambda adj: amplified_independence(matrix_oracles(adj), 0.05)],
+    ids=["matrix", "amplified"],
+)
+def test_a_dropped_oracle_object_is_freed_without_cyclic_gc(make):
+    # Each count builds its own object, and a matrix object holds a packed
+    # copy of the matrix; a reference cycle would keep every such copy alive
+    # until the cyclic collector runs.
+    adj = np.random.default_rng(94).random((300, 200)) < 0.05
+    gc.disable()
+    try:
+        oracles = make(adj)
+        dropped = weakref.ref(oracles)
+        del oracles
+        assert dropped() is None
+
+        oracles = make(adj)
+        bound = oracles.bind_right(np.arange(50))
+        oracles.independence_query(np.arange(10), bound)
+        oracles.neighbor_counts(np.arange(300), np.arange(200))
+        oracles.adjacency_block([0, 1], [2, 3])
+        queried = weakref.ref(oracles)
+        del oracles, bound
+        assert queried() is None
+    finally:
+        gc.enable()
