@@ -14,8 +14,9 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, Optional
 
 import click
 
@@ -23,17 +24,18 @@ from .edgecount import IterationBudgetExceeded
 from .exact import exact_count
 from .experiments import (
     ExperimentConfig,
+    instance_counter,
     probe_to_csv,
     records_to_csv,
     run_experiment,
     scaling_probe,
     summary_line,
 )
-from .generators import GeneratorSpec, InfeasiblePlant, generate
-from .instances import Problem, load_instance, save_instance
-from .reductions import count_3sum, count_nwt, count_ov
+from .generators import GeneratorSpec, generate
+from .instances import Problem, dumps_instance, load_instance, problem_kind
+from .reductions import CountStats
 from .rng import RngStream, derive_stream
-from .satcount import CapExceeded, CnfFormula, approx_count_cnf
+from .satcount import CapExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,6 +90,17 @@ def main() -> None:
     """Approximate counting via decision oracles."""
 
 
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the ``--out`` file, else echo it to stdout."""
+    if not out:
+        click.echo(text, nl=False)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        _usage_error(str(exc))
+
+
 @main.command()
 @click.option("--problem", type=click.Choice([p.value for p in Problem]), required=True)
 @click.option("--n", type=int, required=True, help="total instance size")
@@ -103,7 +116,7 @@ def main() -> None:
 def gen(problem, n, seed, planted, d, density, value_bound, weight_bound, clauses, width, out):
     """Generate an instance file (JSON, or DIMACS for CNF)."""
     try:
-        spec = GeneratorSpec(
+        inst = generate(GeneratorSpec(
             problem=Problem(problem),
             n=n,
             seed=_resolve_seed(seed),
@@ -114,34 +127,29 @@ def gen(problem, n, seed, planted, d, density, value_bound, weight_bound, clause
             weight_bound=weight_bound,
             clause_count=clauses,
             width_k=width,
-        )
-    except ValueError as exc:
+        ))
+    except ValueError as exc:  # a bad field or an infeasible plant
         _usage_error(str(exc))
-    try:
-        inst = generate(spec)
-    except InfeasiblePlant as exc:
-        raise click.ClickException(str(exc))
-    if out:
-        save_instance(inst, out)
-    else:
-        from .instances import dumps_instance
-
-        click.echo(dumps_instance(inst), nl=False)
+    _emit(dumps_instance(inst), out)
 
 
-def _count_command(counter, instance_file, eps, seed, exact_flag, expected_kind):
+def _count(kind, instance_file, eps, seed, exact_flag, delta=0.3):
+    """One ``count-*`` run: a single estimate on the ``cli-count`` stream."""
+    _check_unit_interval("--delta", delta)
     _check_unit_interval("--eps", eps)
     try:
         inst = load_instance(instance_file)
     except (OSError, ValueError) as exc:
         _usage_error(str(exc))
-    from .instances import problem_kind
-
-    if problem_kind(inst) is not expected_kind:
-        _usage_error(f"expected a {expected_kind.value} instance")
+    if problem_kind(inst) is not kind:
+        _usage_error(f"expected a {kind.value} instance")
     rng = derive_stream(RngStream(_resolve_seed(seed)), "cli-count")
     try:
-        value = counter(inst, rng)
+        counter = instance_counter(inst, eps, cnf_delta=delta)
+    except ValueError as exc:  # an x-line CNF
+        _usage_error(str(exc))
+    try:
+        value = counter(rng, CountStats())
     except IterationBudgetExceeded:
         click.echo("BUDGET_EXCEEDED")
         sys.exit(EXIT_BUDGET)
@@ -161,65 +169,30 @@ def _count_command(counter, instance_file, eps, seed, exact_flag, expected_kind)
     sys.exit(EXIT_OK)
 
 
-@main.command(name="count-3sum")
-@click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps", type=float, default=0.25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--exact", "exact_flag", is_flag=True, help="also print the exact count")
-def count_3sum_cmd(instance_file, eps, seed, exact_flag):
-    """Approximate the number of 3SUM tuples in a JSON instance."""
-    _count_command(
-        lambda inst, rng: count_3sum(inst, eps, rng),
-        instance_file, eps, seed, exact_flag, Problem.THREESUM,
+_COUNT_HELP = {
+    Problem.THREESUM: "Approximate the number of 3SUM tuples in a JSON instance.",
+    Problem.OV: "Approximate the number of orthogonal pairs in a JSON instance.",
+    Problem.NWT: "Approximate the number of negative triangles in a JSON instance.",
+    Problem.CNF: "Approximately count satisfying assignments of a DIMACS CNF.",
+}
+
+
+def _count_command(kind: Problem) -> click.Command:
+    params = [
+        click.Argument(["instance_file"], type=click.Path(exists=True, dir_okay=False)),
+        click.Option(["--eps"], type=float, default=0.25, show_default=True),
+        click.Option(["--seed"], type=int, default=0, show_default=True),
+        click.Option(["--exact", "exact_flag"], is_flag=True, help="also print the exact count"),
+    ]
+    if kind is Problem.CNF:
+        params.insert(2, click.Option(["--delta"], type=float, default=0.3, show_default=True))
+    return click.Command(
+        f"count-{kind.value}", callback=partial(_count, kind), params=params, help=_COUNT_HELP[kind]
     )
 
 
-@main.command(name="count-ov")
-@click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps", type=float, default=0.25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--exact", "exact_flag", is_flag=True)
-def count_ov_cmd(instance_file, eps, seed, exact_flag):
-    """Approximate the number of orthogonal pairs in a JSON instance."""
-    _count_command(
-        lambda inst, rng: count_ov(inst, eps, rng),
-        instance_file, eps, seed, exact_flag, Problem.OV,
-    )
-
-
-@main.command(name="count-nwt")
-@click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps", type=float, default=0.25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--exact", "exact_flag", is_flag=True)
-def count_nwt_cmd(instance_file, eps, seed, exact_flag):
-    """Approximate the number of negative triangles in a JSON instance."""
-    _count_command(
-        lambda inst, rng: count_nwt(inst, eps, rng),
-        instance_file, eps, seed, exact_flag, Problem.NWT,
-    )
-
-
-@main.command(name="count-cnf")
-@click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps", type=float, default=0.25, show_default=True)
-@click.option("--delta", type=float, default=0.3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--exact", "exact_flag", is_flag=True)
-def count_cnf_cmd(instance_file, eps, delta, seed, exact_flag):
-    """Approximately count satisfying assignments of a DIMACS CNF."""
-
-    _check_unit_interval("--delta", delta)
-
-    def counter(inst, rng):
-        if not isinstance(inst, CnfFormula):
-            _usage_error(
-                "approximate counting takes a plain CNF; files with "
-                "x-lines encode decision-oracle instances"
-            )
-        return approx_count_cnf(inst, eps, delta, rng)
-
-    _count_command(counter, instance_file, eps, seed, exact_flag, Problem.CNF)
+for _kind in Problem:
+    main.add_command(_count_command(_kind))
 
 
 @main.command()
@@ -236,13 +209,9 @@ def bench(config_file, out):
     except CapExceeded as exc:  # the exact reference count, before any trial
         click.echo(f"CAP_EXCEEDED: {exc}")
         sys.exit(EXIT_NO_ESTIMATE)
-    except (OSError, ValueError) as exc:  # loading or generating the instance
+    except (OSError, ValueError) as exc:  # loading, generating or an x-line CNF
         _usage_error(str(exc))
-    text = records_to_csv(records) + summary_line(records, cfg.eps) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(records_to_csv(records) + summary_line(records, cfg.eps) + "\n", out)
     sys.exit(EXIT_OK)
 
 
@@ -267,15 +236,14 @@ def probe(problem, sizes, eps, trials, seed, d, density, out):
         _usage_error(f"--trials must be at least 1, got {trials}")
     _check_unit_interval("--eps", eps)
     seed = _resolve_seed(seed)
-    template = GeneratorSpec(
-        problem=Problem(problem), n=max(size_list), seed=seed, d=d, density=density
-    )
-    results = scaling_probe(template, size_list, eps, trials, RngStream(seed))
-    text = probe_to_csv(results)
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    try:
+        template = GeneratorSpec(
+            problem=Problem(problem), n=max(size_list), seed=seed, d=d, density=density
+        )
+        results = scaling_probe(template, size_list, eps, trials, RngStream(seed))
+    except ValueError as exc:
+        _usage_error(str(exc))
+    _emit(probe_to_csv(results), out)
     sys.exit(EXIT_OK)
 
 

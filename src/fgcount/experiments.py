@@ -128,8 +128,17 @@ def instance_counter(
     config: EdgeCountConfig = DEFAULT_CONFIG,
     cnf_delta: float = 0.3,
 ) -> Counter:
-    """Counting callback for a problem instance (dispatch on its kind)."""
+    """Counting callback for a problem instance (dispatch on its kind).
+
+    Raises ``ValueError`` at once for a CNF with x-lines (an
+    ``AugmentedFormula``): only a plain CNF has an approximate counter.
+    """
     kind = problem_kind(inst)
+    if kind is Problem.CNF and not isinstance(inst, CnfFormula):
+        raise ValueError(
+            "approximate counting takes a plain CNF; files with "
+            "x-lines encode decision-oracle instances"
+        )
 
     def run(rng: RngStream, stats: CountStats) -> Optional[int]:
         if kind is Problem.THREESUM:
@@ -138,7 +147,6 @@ def instance_counter(
             return count_ov(inst, eps, rng, config=config, stats=stats)
         if kind is Problem.NWT:
             return count_nwt(inst, eps, rng, config=config, stats=stats)
-        assert isinstance(inst, CnfFormula)
         return approx_count_cnf(inst, eps, cnf_delta, rng)
 
     return run
@@ -285,8 +293,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         inst = load_instance(cfg.instance_path)
     else:
         inst = generate(cfg.generator)
-    exact = exact_count(inst) if cfg.compute_exact else None
     counter = instance_counter(inst, cfg.eps, config=cfg.edgecount, cnf_delta=cfg.cnf_delta)
+    exact = exact_count(inst) if cfg.compute_exact else None
     master = RngStream(cfg.master_seed)
     return run_trials(counter, cfg.trials, master, exact=exact)
 
@@ -315,13 +323,14 @@ def scaling_probe(
 ) -> list[tuple[int, int]]:
     """Median independence-query count per instance size.
 
-    One random instance per size (seeded off the template seed and the
-    size), ``trials`` estimator runs each; the median is what the polylog
+    One random instance per size, every size generated from the template's
+    own seed (so a smaller OV instance's A rows are a prefix of a larger
+    one's), ``trials`` estimator runs each; the median is what the polylog
     growth assertion is made against.
     """
     results = []
     for size in sizes:
-        spec = replace(template, n=size, seed=template.seed)
+        spec = replace(template, n=size)
         inst = generate(spec)
         counter = instance_counter(inst, eps, config=config)
         records = run_trials(

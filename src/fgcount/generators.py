@@ -63,6 +63,14 @@ class GeneratorSpec:
             raise ValueError("size parameter n must be positive")
         if self.planted_count is not None and self.planted_count < 0:
             raise ValueError("planted_count must be nonnegative")
+        if self.d < 0:
+            raise ValueError(f"d must be nonnegative, got {self.d}")
+        if not 0.0 <= self.density <= 1.0:  # NaN fails too
+            raise ValueError(f"density must lie in [0,1], got {self.density}")
+        if self.clause_count < 0:
+            raise ValueError(f"clause_count must be nonnegative, got {self.clause_count}")
+        if self.width_k < 1:
+            raise ValueError(f"width_k must be at least 1, got {self.width_k}")
 
 
 def generate(spec: GeneratorSpec) -> ProblemInstance:

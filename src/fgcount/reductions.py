@@ -229,12 +229,6 @@ class NwtInstance:
     def n(self) -> int:
         return int(self.part_a.size + self.part_b.size + self.part_c.size)
 
-    @property
-    def weight_bound(self) -> int:
-        if not self.adjacency.any():
-            return 1
-        return max(1, int(np.abs(self.weights[self.adjacency]).max()))
-
     def bc_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (b, c) of every edge inside B ∪ C, in deterministic order."""
         sub = self.adjacency[np.ix_(self.part_b, self.part_c)]
@@ -579,11 +573,6 @@ class LayeredDigraph:
 
     base_vertices: int
     weights: np.ndarray  # (3n, 3n) float64 (+inf where no edge)
-
-    def vertex(self, v: int, layer: int) -> int:
-        if not 1 <= layer <= 3:
-            raise ValueError("layers are numbered 1..3")
-        return (layer - 1) * self.base_vertices + v
 
     @property
     def n_vertices(self) -> int:

@@ -164,7 +164,11 @@ def _assert_usage_error(r):
     ["probe", "--problem", "ov", "--sizes", "64", "--trials", "0"],
     ["probe", "--problem", "ov", "--sizes", "64", "--eps", "0"],
     ["gen", "--problem", "ov", "--n", "-5"],
-], ids=["probe-empty-sizes", "probe-zero-trials", "probe-eps-zero", "gen-negative-n"])
+    ["gen", "--problem", "ov", "--n", "10", "--d", "-3"],
+    ["gen", "--problem", "cnf", "--n", "5", "--width", "0"],
+    ["probe", "--problem", "ov", "--sizes", "16", "--trials", "1", "--d", "-3"],
+], ids=["probe-empty-sizes", "probe-zero-trials", "probe-eps-zero", "gen-negative-n",
+        "gen-negative-d", "gen-zero-width", "probe-negative-d"])
 def test_bad_arguments_are_usage_errors(runner, args):
     _assert_usage_error(runner.invoke(main, args))
 
@@ -265,3 +269,33 @@ def test_count_cnf_rejects_a_malformed_xor_entry(runner, tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 3 1\n1 2 0\nx 1 1:1 1:0 0\n")
     _assert_usage_error(runner.invoke(main, ["count-cnf", str(path)]))
+
+
+@pytest.mark.parametrize("command", ["count-3sum", "count-ov", "count-nwt", "count-cnf"])
+def test_count_commands_take_the_same_argument_and_options(command):
+    params = {p.name: p for p in main.commands[command].params}
+    expected = {"eps": 0.25, "seed": 0, "exact_flag": False}
+    if command == "count-cnf":
+        expected["delta"] = 0.3
+    instance_file = params.pop("instance_file")
+    assert instance_file.human_readable_name == "INSTANCE_FILE" and instance_file.required
+    assert {name: p.default for name, p in params.items()} == expected
+    assert params["eps"].opts == ["--eps"]
+    assert params["seed"].opts == ["--seed"]
+    assert params["exact_flag"].opts == ["--exact"] and params["exact_flag"].is_flag
+    if command == "count-cnf":
+        assert params["delta"].opts == ["--delta"]
+
+
+def test_bench_rejects_an_xor_extended_instance_file(runner, tmp_path):
+    path = tmp_path / "aug.cnf"
+    path.write_text("p cnf 3 1\n1 2 0\nx 1 1:1 3:1 0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.3, "trials": 2, "instance_path": str(path)}))
+    _assert_usage_error(runner.invoke(main, ["bench", str(cfg)]))
+
+
+def test_an_unwritable_out_file_is_a_usage_error(runner, tmp_path):
+    out = tmp_path / "missing-dir" / "i.json"
+    args = ["gen", "--problem", "ov", "--n", "10", "--d", "4", "--out", str(out)]
+    _assert_usage_error(runner.invoke(main, args))

@@ -96,3 +96,16 @@ def test_spec_validation():
         GeneratorSpec(problem=Problem.OV, n=0)
     with pytest.raises(ValueError):
         GeneratorSpec(problem=Problem.OV, n=10, planted_count=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", -3),
+    ("density", -0.1),
+    ("density", 2.0),
+    ("density", float("nan")),
+    ("clause_count", -3),
+    ("width_k", 0),
+])
+def test_spec_rejects_out_of_range_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        GeneratorSpec(problem=Problem.CNF, n=5, **{field: value})
