@@ -326,8 +326,11 @@ def scaling_probe(
     One random instance per size, every size generated from the template's
     own seed (so a smaller OV instance's A rows are a prefix of a larger
     one's), ``trials`` estimator runs each; the median is what the polylog
-    growth assertion is made against.
+    growth assertion is made against.  A CNF count makes no independence
+    queries, so a CNF template raises ``ValueError``.
     """
+    if template.problem is Problem.CNF:
+        raise ValueError("a CNF count makes no independence queries; probe 3sum, ov or nwt")
     results = []
     for size in sizes:
         spec = replace(template, n=size)

@@ -67,6 +67,10 @@ class GeneratorSpec:
             raise ValueError(f"d must be nonnegative, got {self.d}")
         if not 0.0 <= self.density <= 1.0:  # NaN fails too
             raise ValueError(f"density must lie in [0,1], got {self.density}")
+        if self.value_bound < 1:
+            raise ValueError(f"value_bound must be positive, got {self.value_bound}")
+        if self.weight_bound < 1:
+            raise ValueError(f"weight_bound must be positive, got {self.weight_bound}")
         if self.clause_count < 0:
             raise ValueError(f"clause_count must be nonnegative, got {self.clause_count}")
         if self.width_k < 1:

@@ -20,7 +20,6 @@ tests.  All counts are arbitrary-precision integers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
@@ -221,33 +220,36 @@ def sparse_count(
 ) -> SparseCountResult:
     """Exact solution count if it is at most ``budget``, else FAIL.
 
-    Branches on the lowest-index free variable; every node asks the oracle
-    whether the current residual formula is satisfiable and prunes dead
-    branches.  The moment the running number of solutions found exceeds the
-    budget, the entire recursion unwinds and FAIL is returned (this is
-    outcome-equivalent to checking partial sums at every branch node, and
-    caps the work at budget+1 discovered solutions).  Oracle calls are
-    bounded by 8n * (min(budget, count) + 1).
+    Recurses on the two assignment masks, branching on the lowest free
+    variable, 0 before 1.  A node builds one formula over the shared
+    ``cnf`` and ``xors`` and makes one oracle call on it, pruning dead
+    branches.  Once the number of solutions found exceeds the budget the
+    recursion unwinds and FAIL is returned (outcome-equivalent to checking
+    partial sums at every node; caps the work at budget+1 solutions).
+    Oracle calls are bounded by 8n * (min(budget, count) + 1).
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
 
+    cnf, xors = formula.cnf, formula.xors
+    every = (1 << cnf.n_vars) - 1
     found = 0
 
-    def recurse(f: AugmentedFormula) -> int:
+    def recurse(assigned: int, values: int) -> int:
         nonlocal found
-        if not oracle(f):
+        if not oracle(AugmentedFormula(cnf, xors, assigned, values)):
             return 0
-        var = f.first_free_variable()
-        if var is None:
+        free = every & ~assigned
+        if not free:
             found += 1
             if found > budget:
                 raise _BudgetExhausted
             return 1
-        return recurse(f.assign(var, 0)) + recurse(f.assign(var, 1))
+        bit = free & -free
+        return recurse(assigned | bit, values) + recurse(assigned | bit, values | bit)
 
     try:
-        total = recurse(formula)
+        total = recurse(formula.assigned_mask, formula.value_bits)
     except _BudgetExhausted:
         return FAIL
     return Count(total)
@@ -394,23 +396,17 @@ def solution_codes(cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> np.ndarray
     return np.concatenate(list(_satisfying_codes(augment(cnf), cap)))
 
 
-def _bit_reverse(x: int, n: int) -> int:
-    """The n bits of ``x`` (0 <= x < 2^n) in reverse order."""
-    return int(format(x, f"0{n}b")[::-1], 2)
-
-
 class EnumerationDecider:
     """Exact oracle for descendants of one base CNF, backed by a solution table.
 
     Enumerates the base CNF's solutions once, then answers satisfiability of
     any formula over that CNF obtained by conjoining XOR rows and assigning
     variables — the query pattern of ``sparse_count`` driven by
-    ``sat_solve``; a formula over another CNF raises ``ValueError``.  For
-    each rows object (``assign`` shares rows, so a whole self-reduction
-    reuses one table) the solutions satisfying the rows are kept as a sorted
-    list of bit-reversed codes.  Assignments of a variable prefix x_1..x_j
-    reduce to one bisection, because their completions are contiguous in
-    bit-reversed order; other assignments filter the list.
+    ``sat_solve``; a formula over another CNF raises ``ValueError``.  Per
+    rows object (a self-reduction shares one) it keeps the T solution codes
+    satisfying the rows and a set of at most sum_j min(2^j, T) prefix keys
+    (c & (2^j - 1)) | 2^j, j = 0..n.  An assignment of a variable prefix
+    x_1..x_j is one lookup of values | 2^j; any other scans the kept codes.
     """
 
     def __init__(self, cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> None:
@@ -419,7 +415,8 @@ class EnumerationDecider:
         self.codes = solution_codes(cnf, cap=cap)
         self.calls = 0
         self._rows: Optional[tuple] = None  # the rows the table was filtered by
-        self._table: list[int] = []
+        self._kept: list[int] = []
+        self._prefixes: set[int] = set()
 
     def __call__(self, f: AugmentedFormula) -> bool:
         if f.cnf is not self.cnf and f.cnf != self.cnf:
@@ -428,14 +425,16 @@ class EnumerationDecider:
         if f.xors.rows is not self._rows:
             self._rows = f.xors.rows
             kept = self.codes[_satisfied(self.codes, (), f.xors.rows)]
-            self._table = sorted(_bit_reverse(c, self.n) for c in kept.tolist())
-        n, table, j = self.n, self._table, f.assigned_mask.bit_count()
-        if f.assigned_mask == (1 << j) - 1:
-            key = _bit_reverse(f.value_bits, j) << (n - j)
-            i = bisect_left(table, key)
-            return i < len(table) and table[i] < key + (1 << (n - j))
-        mask, bits = _bit_reverse(f.assigned_mask, n), _bit_reverse(f.value_bits, n)
-        return any(c & mask == bits for c in table)
+            self._kept = kept.tolist()
+            # level n from Python ints: its marker 2^n overflows uint64 at n = 64
+            self._prefixes = {c | 1 << self.n for c in self._kept}
+            for j in range(self.n):
+                marker = np.uint64(1 << j)
+                self._prefixes.update((kept & (marker - np.uint64(1)) | marker).tolist())
+        assigned, values = f.assigned_mask, f.value_bits
+        if not assigned & (assigned + 1):
+            return values | (assigned + 1) in self._prefixes
+        return any(c & assigned == values for c in self._kept)
 
 
 # --------------------------------------------------------------------------

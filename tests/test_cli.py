@@ -167,8 +167,12 @@ def _assert_usage_error(r):
     ["gen", "--problem", "ov", "--n", "10", "--d", "-3"],
     ["gen", "--problem", "cnf", "--n", "5", "--width", "0"],
     ["probe", "--problem", "ov", "--sizes", "16", "--trials", "1", "--d", "-3"],
+    ["probe", "--problem", "cnf", "--sizes", "8", "--trials", "1"],
+    ["gen", "--problem", "nwt", "--n", "10", "--weight-bound", "-1"],
+    ["gen", "--problem", "3sum", "--n", "10", "--value-bound", "-5"],
 ], ids=["probe-empty-sizes", "probe-zero-trials", "probe-eps-zero", "gen-negative-n",
-        "gen-negative-d", "gen-zero-width", "probe-negative-d"])
+        "gen-negative-d", "gen-zero-width", "probe-negative-d", "probe-cnf",
+        "gen-negative-weight-bound", "gen-negative-value-bound"])
 def test_bad_arguments_are_usage_errors(runner, args):
     _assert_usage_error(runner.invoke(main, args))
 

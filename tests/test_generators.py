@@ -105,6 +105,10 @@ def test_spec_validation():
     ("density", float("nan")),
     ("clause_count", -3),
     ("width_k", 0),
+    ("value_bound", -5),
+    ("value_bound", 0),
+    ("weight_bound", -1),
+    ("weight_bound", 0),
 ])
 def test_spec_rejects_out_of_range_fields_by_name(field, value):
     with pytest.raises(ValueError, match=field):

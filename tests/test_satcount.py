@@ -201,6 +201,25 @@ def test_sparse_count_aborts_the_whole_computation():
     assert burned <= 8 * 6 * 4
 
 
+_ONE_SOLUTION = CnfFormula(2, 1, ((1,), (2,)))  # x1 = x2 = 1
+_TWO_SOLUTIONS = CnfFormula(2, 1, ((1,),))  # x1 = 1
+
+
+@pytest.mark.parametrize("formula, budget, result, calls", [
+    (augment(CnfFormula(0, 1, ())), 5, Count(1), 1),
+    (augment(_ONE_SOLUTION).assign(2, 1).assign(1, 1), 5, Count(1), 1),
+    (augment(_ONE_SOLUTION).assign(2, 1).assign(1, 0), 5, Count(0), 1),
+    (augment(_ONE_SOLUTION), 0, FAIL, 5),
+    (augment(_ONE_SOLUTION), 1, Count(1), 5),
+    (augment(_TWO_SOLUTIONS), 1, FAIL, 5),
+], ids=["no-variables", "fully-assigned", "fully-assigned-unsat", "budget-0-one-solution",
+        "budget-1-one-solution", "budget-1-two-solutions"])
+def test_sparse_count_edges(formula, budget, result, calls):
+    oracle = CountingOracle(oracle_dpll)
+    assert sparse_count(formula, budget, oracle) == result
+    assert oracle.calls == calls
+
+
 # -- hashing -----------------------------------------------------------------
 
 
@@ -352,6 +371,64 @@ def test_enumeration_decider_handles_non_prefix_assignments():
     enum = EnumerationDecider(f)
     aug = augment(f).assign(5, 1).assign(2, 0)  # not a variable prefix
     assert enum(aug) == decide_pi_ks(aug)
+
+
+class RecordingOracle:
+    """Answers through ``fn`` and records each query's masks and answer."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.log = []
+
+    def __call__(self, f):
+        answer = self.fn(f)
+        self.log.append((f.assigned_mask, f.value_bits, answer))
+        return answer
+
+
+def test_enumeration_decider_answers_as_dpll_call_for_call():
+    # Hashed copies of random 16-variable CNFs, some with so many rows that
+    # no solution survives, each counted from the root (j = 0 through the
+    # full assignments j = n) and from a non-prefix partial assignment.
+    gen = np.random.default_rng(107)
+    master = RngStream(108)
+    n = 16
+    counts = []
+    for trial in range(12):
+        f = random_cnf(gen, n, 28)
+        enum = EnumerationDecider(f)
+        system = sample_hash(n, int(gen.integers(3, 13)), n, derive_stream(master, f"h{trial}"))
+        aug = conjoin(f, system, derive_stream(master, f"b{trial}"))
+        for start in (aug, aug.assign(5, 1).assign(2, 0)):
+            by_enum, by_dpll = RecordingOracle(enum), RecordingOracle(oracle_dpll)
+            result = sparse_count(start, 1 << n, by_enum)
+            assert result == sparse_count(start, 1 << n, by_dpll)
+            assert by_enum.log == by_dpll.log
+            assert result == Count(brute_force_count(start))
+            counts.append(result.value)
+            assert (start.assigned_mask, start.value_bits) == by_enum.log[0][:2]
+    assert 0 in counts and max(counts) > 1
+
+
+def test_enumeration_decider_prefix_keys_at_64_variables(monkeypatch):
+    # Full assignments at n = 64 need the prefix marker 2^64, beyond uint64.
+    # A 64-variable table is too large to enumerate, so the decider is
+    # handed a two-code one.
+    top = 1 << 63
+    table = np.array([top | 5, 6], dtype=np.uint64)
+    monkeypatch.setattr(satcount, "solution_codes", lambda cnf, cap: table)
+    cnf = CnfFormula(64, 1, ())
+    enum = EnumerationDecider(cnf)
+
+    def prefix(value_bits, j):
+        return AugmentedFormula(cnf, SparseXorSystem(64), (1 << j) - 1, value_bits)
+
+    assert enum(prefix(0, 0))
+    assert enum(prefix(top | 5, 64)) and enum(prefix(6, 64))
+    assert not enum(prefix(5, 64)) and not enum(prefix(top | 6, 64))
+    assert enum(prefix(5, 63)) and enum(prefix(6, 63)) and not enum(prefix(7, 63))
+    assert enum(prefix(1, 1)) and enum(prefix(0, 1))
+    assert not enum(prefix(3, 2)) and enum(prefix(1, 2))
 
 
 def test_enumeration_decider_refuses_a_formula_over_another_cnf():
