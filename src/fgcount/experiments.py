@@ -224,7 +224,7 @@ class ExperimentConfig:
 
     eps: float
     trials: int
-    master_seed: int
+    master_seed: int = 0
     instance_path: Optional[str] = None
     generator: Optional[GeneratorSpec] = None
     compute_exact: bool = True
@@ -261,31 +261,21 @@ class ExperimentConfig:
             # bool is an int subclass: only compute_exact takes one
             if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
                 raise ValueError(f"bench config {key} must be {what}, got {value!r}")
-        generator = None
+        generator = payload.pop("generator", None)
+        overrides = payload.pop("overrides", {})
         try:
-            if "generator" in payload:
-                g = dict(payload["generator"])
-                g["problem"] = Problem(g["problem"])
-                if "parts" in g and g["parts"] is not None:
-                    g["parts"] = tuple(g["parts"])
-                generator = GeneratorSpec(**g)
-            overrides = payload.get("overrides", {})
+            if generator is not None:
+                generator["problem"] = Problem(generator["problem"])
+                if generator.get("parts") is not None:
+                    generator["parts"] = tuple(generator["parts"])
+                generator = GeneratorSpec(**generator)
             if any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in overrides.values()):
                 raise ValueError(f"overrides must be numbers, got {overrides!r}")
             ec = replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed generator or overrides: {exc}") from exc
-        return cls(
-            eps=payload["eps"],
-            trials=payload["trials"],
-            master_seed=payload.get("master_seed", 0),
-            instance_path=payload.get("instance_path"),
-            generator=generator,
-            compute_exact=payload.get("compute_exact", True),
-            cnf_delta=payload.get("cnf_delta", 0.3),
-            edgecount=ec,
-        )
+        return cls(**payload, generator=generator, edgecount=ec)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:

@@ -110,7 +110,7 @@ def _distinct(gen: np.random.Generator, lo: int, hi: int, count: int) -> np.ndar
 
 def _gen_3sum(spec: GeneratorSpec, rng: RngStream) -> ThreeSumInstance:
     na, nb, nc = _split_three(spec.n)
-    v = max(spec.value_bound, 64)
+    v = spec.value_bound
 
     if spec.planted_count is None:
         gen = rng.generator()
@@ -219,7 +219,7 @@ def _gen_nwt(spec: GeneratorSpec, rng: RngStream) -> NwtInstance:
     n = spec.n
     ids = np.arange(n, dtype=np.int64)
     part_a, part_b, part_c = ids[:na], ids[na : na + nb], ids[na + nb :]
-    w = max(spec.weight_bound, 2)
+    w = spec.weight_bound
     gen = rng.generator()
 
     def cross_block(rows: np.ndarray, cols: np.ndarray, adjacency, weights, lo, hi):

@@ -53,8 +53,6 @@ __all__ = [
     "ThreeSumInstance",
     "OvInstance",
     "NwtInstance",
-    "ApspMatrix",
-    "LayeredDigraph",
     "CountStats",
     "decide_3sum",
     "three_sum_oracles",
@@ -567,73 +565,53 @@ def count_nwt(
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class LayeredDigraph:
-    """Three stacked copies of a graph's vertices with layer i -> i+1 edges."""
+def floyd_warshall(weights: np.ndarray, *, max_vertices: int = 2048) -> np.ndarray:
+    """All-pairs shortest distances of a square weight matrix (cubic relaxation).
 
-    base_vertices: int
-    weights: np.ndarray  # (3n, 3n) float64 (+inf where no edge)
-
-    @property
-    def n_vertices(self) -> int:
-        return 3 * self.base_vertices
-
-
-@dataclass
-class ApspMatrix:
-    """All-pairs shortest path distances (float with +inf for unreachable)."""
-
-    dist: np.ndarray
-
-
-def floyd_warshall(g: LayeredDigraph, *, max_vertices: int = 2048) -> ApspMatrix:
-    """Exact APSP on the layered digraph (cubic relaxation)."""
-    n = g.n_vertices
+    ``weights[u, v]`` is the weight of the edge u -> v, +inf where none runs;
+    the result is +inf where v is unreachable from u.
+    """
+    n = weights.shape[0]
+    if weights.shape != (n, n):
+        raise ValueError(f"a weight matrix is square, got shape {weights.shape}")
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceed the Floyd-Warshall cap {max_vertices}")
-    dist = g.weights.astype(np.float64, copy=True)
+    dist = weights.astype(np.float64, copy=True)
     np.fill_diagonal(dist, np.minimum(np.diag(dist), 0.0))
     for k in range(n):
         np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
-    return ApspMatrix(dist=dist)
+    return dist
 
 
-def nwt_to_apsp(inst: NwtInstance) -> tuple[LayeredDigraph, Callable[[ApspMatrix], bool]]:
-    """Layered-graph reduction: negative triangle detection from an APSP matrix.
+def nwt_to_apsp(inst: NwtInstance) -> tuple[np.ndarray, Callable[[np.ndarray], bool]]:
+    """Layered-graph reduction: negative triangle detection from APSP distances.
 
-    Every undirected edge {u, v} spawns (u, i) -> (v, i+1) and
-    (v, i) -> (u, i+1) for i in {1, 2} with the original weight, so paths
-    from (u, 1) to (v, 3) are exactly the two-edge walks u - x - v; the
-    returned check reports a negative triangle iff for some edge {u, v}
-    the (u,1)-to-(v,3) distance plus w(u, v) is negative.
+    Returns the (3n, 3n) weight matrix of three stacked copies of the
+    vertices, copy i of vertex u being row (i - 1) n + u, and a check on its
+    distance matrix.  Every undirected edge {u, v} spawns (u, i) -> (v, i+1)
+    and (v, i) -> (u, i+1) for i in {1, 2} with the original weight, so
+    paths from (u, 1) to (v, 3) are exactly the two-edge walks u - x - v;
+    the check reports a negative triangle iff for some edge {u, v} the
+    (u,1)-to-(v,3) distance plus w(u, v) is negative.
     """
     n = inst.n_vertices
-    g = LayeredDigraph(n, np.full((3 * n, 3 * n), np.inf, dtype=np.float64))
+    weights = np.full((3 * n, 3 * n), np.inf)
     us, vs = np.nonzero(np.triu(inst.adjacency))
-    for layer in (1, 2):
-        off_lo, off_hi = (layer - 1) * n, layer * n
-        for u, v in zip(us, vs):
-            w = float(inst.weights[u, v])
-            g.weights[off_lo + u, off_hi + v] = min(g.weights[off_lo + u, off_hi + v], w)
-            g.weights[off_lo + v, off_hi + u] = min(g.weights[off_lo + v, off_hi + u], w)
+    w = inst.weights[us, vs].astype(np.float64)
+    for lo in (0, n):
+        weights[lo + us, lo + n + vs] = w
+        weights[lo + vs, lo + n + us] = w
 
-    edge_u = us.copy()
-    edge_v = vs.copy()
+    def check(dist: np.ndarray) -> bool:
+        return bool((dist[us, 2 * n + vs] + w < 0).any())
 
-    def check(apsp: ApspMatrix) -> bool:
-        if edge_u.size == 0:
-            return False
-        d = apsp.dist[edge_u, 2 * n + edge_v]
-        w = inst.weights[edge_u, edge_v].astype(np.float64)
-        return bool((d + w < 0).any())
-
-    return g, check
+    return weights, check
 
 
 def decide_nwt_via_apsp(inst: NwtInstance, *, max_vertices: int = 2048) -> bool:
     """Cross-validation decider: run the layered reduction through APSP."""
-    g, check = nwt_to_apsp(inst)
-    return check(floyd_warshall(g, max_vertices=max_vertices))
+    weights, check = nwt_to_apsp(inst)
+    return check(floyd_warshall(weights, max_vertices=max_vertices))
 
 
 # --------------------------------------------------------------------------

@@ -36,8 +36,6 @@ __all__ = [
     "SparseXorSystem",
     "AugmentedFormula",
     "augment",
-    "Count",
-    "FAIL",
     "sparse_count",
     "sample_hash",
     "conjoin",
@@ -156,12 +154,6 @@ class AugmentedFormula:
     def n_vars(self) -> int:
         return self.cnf.n_vars
 
-    @property
-    def partial_assignment(self) -> dict[int, int]:
-        """The assignment as {variable: bit}, read off the masks."""
-        assigned, values = self.assigned_mask, self.value_bits
-        return {p + 1: values >> p & 1 for p in range(self.cnf.n_vars) if assigned >> p & 1}
-
     def free_count(self) -> int:
         return self.cnf.n_vars - self.assigned_mask.bit_count()
 
@@ -193,22 +185,6 @@ def augment(cnf: CnfFormula) -> AugmentedFormula:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Count:
-    value: int
-
-
-class _Fail:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "FAIL"
-
-
-FAIL = _Fail()
-SparseCountResult = Union[Count, _Fail]
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -217,14 +193,14 @@ def sparse_count(
     formula: AugmentedFormula,
     budget: int,
     oracle: Callable[[AugmentedFormula], bool],
-) -> SparseCountResult:
-    """Exact solution count if it is at most ``budget``, else FAIL.
+) -> Optional[int]:
+    """Exact solution count if it is at most ``budget``, else None.
 
     Recurses on the two assignment masks, branching on the lowest free
     variable, 0 before 1.  A node builds one formula over the shared
     ``cnf`` and ``xors`` and makes one oracle call on it, pruning dead
     branches.  Once the number of solutions found exceeds the budget the
-    recursion unwinds and FAIL is returned (outcome-equivalent to checking
+    recursion unwinds and None is returned (outcome-equivalent to checking
     partial sums at every node; caps the work at budget+1 solutions).
     Oracle calls are bounded by 8n * (min(budget, count) + 1).
     """
@@ -249,10 +225,9 @@ def sparse_count(
         return recurse(assigned | bit, values) + recurse(assigned | bit, values | bit)
 
     try:
-        total = recurse(formula.assigned_mask, formula.value_bits)
+        return recurse(formula.assigned_mask, formula.value_bits)
     except _BudgetExhausted:
-        return FAIL
-    return Count(total)
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -551,8 +526,8 @@ def sat_solve(
 
     base_budget = _power_budget(t + delta * n / 2.0)
     result = sparse_count(augment(formula), base_budget, oracle)
-    if result is not FAIL:
-        return result.value
+    if result is not None:
+        return result
 
     if t > MAX_T:
         raise CapExceeded(f"2^{t} hashed copies per level is beyond desk scale")
@@ -565,10 +540,10 @@ def sat_solve(
             system = sample_hash(s_eff, m + t, n, derive_stream(rng, f"hash-{m}-{i}"))
             hashed = conjoin(formula, system, derive_stream(rng, f"rhs-{m}-{i}"))
             res = sparse_count(hashed, budget, oracle)
-            if res is FAIL:
+            if res is None:
                 break
-            copies.append(res.value)
-            budget -= res.value
+            copies.append(res)
+            budget -= res
         else:
             return (1 << m) * sum(copies)
     return None

@@ -58,7 +58,6 @@ from fgcount.reductions import (
 from fgcount import satcount
 from fgcount.rng import RngStream, derive_stream
 from fgcount.satcount import (
-    FAIL,
     EnumerationDecider,
     SatSolveConfig,
     SatSolveParams,
@@ -240,8 +239,7 @@ def _hashed(rows: int):
 
 def _sparse(formula, budget: int) -> dict:
     oracle = EnumerationDecider(formula.cnf)
-    result = sparse_count(formula, budget, oracle)
-    return {"result": None if result is FAIL else result.value, "oracle_calls": oracle.calls}
+    return {"result": sparse_count(formula, budget, oracle), "oracle_calls": oracle.calls}
 
 
 _SMALL = augment(_cnf(12, 20, 4))

@@ -119,6 +119,14 @@ def test_config_from_json_with_overrides():
     assert len(records) == 2
 
 
+def test_config_from_json_takes_each_default_from_its_field():
+    cfg = ExperimentConfig.from_json(
+        '{"eps": 0.25, "trials": 2, "generator": {"problem": "ov", "n": 40, "d": 8, "seed": 1}}'
+    )
+    spec = GeneratorSpec(problem=Problem.OV, n=40, d=8, seed=1)
+    assert cfg == ExperimentConfig(0.25, 2, generator=spec)
+
+
 def test_run_experiment_from_instance_file(tmp_path):
     from fgcount.generators import generate
     from fgcount.instances import save_instance

@@ -1,5 +1,6 @@
 """Instance generation: exact plants, determinism, infeasibility."""
 
+import numpy as np
 import pytest
 
 from fgcount.exact import exact_count
@@ -96,6 +97,11 @@ def test_spec_validation():
         GeneratorSpec(problem=Problem.OV, n=0)
     with pytest.raises(ValueError):
         GeneratorSpec(problem=Problem.OV, n=10, planted_count=-1)
+    # the smallest valid bounds are the bounds of what is generated
+    three_sum = generate(GeneratorSpec(problem=Problem.THREESUM, n=9, value_bound=5, seed=1))
+    assert max(np.abs(v).max() for v in (three_sum.a, three_sum.b, three_sum.c)) <= 5
+    nwt = generate(GeneratorSpec(problem=Problem.NWT, n=30, density=0.5, weight_bound=1, seed=1))
+    assert np.abs(nwt.weights[nwt.adjacency]).max() == 1
 
 
 @pytest.mark.parametrize("field, value", [

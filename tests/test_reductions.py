@@ -447,29 +447,24 @@ def bellman_ford(weights, source):
 
 
 def test_floyd_warshall_single_edge():
-    from fgcount.reductions import LayeredDigraph
-
-    g = LayeredDigraph(2, np.full((6, 6), np.inf))
-    g.weights[0, 3] = 5.0
-    out = floyd_warshall(g)
-    assert out.dist[0, 3] == 5.0
-    assert np.isinf(out.dist[3, 0])
-    assert out.dist[1, 1] == 0.0
+    weights = np.full((6, 6), np.inf)
+    weights[0, 3] = 5.0
+    out = floyd_warshall(weights)
+    assert out[0, 3] == 5.0
+    assert np.isinf(out[3, 0])
+    assert out[1, 1] == 0.0
+    assert weights[1, 1] == np.inf  # the input is not overwritten
 
 
 def test_floyd_warshall_two_hop_negative():
-    from fgcount.reductions import LayeredDigraph
-
-    g = LayeredDigraph(1, np.full((3, 3), np.inf))
-    g.weights[0, 1] = 2.0
-    g.weights[1, 2] = -4.0
-    assert floyd_warshall(g).dist[0, 2] == -2.0
+    weights = np.full((3, 3), np.inf)
+    weights[0, 1] = 2.0
+    weights[1, 2] = -4.0
+    assert floyd_warshall(weights)[0, 2] == -2.0
 
 
 def test_floyd_warshall_matches_bellman_ford():
     gen = np.random.default_rng(230)
-    from fgcount.reductions import LayeredDigraph
-
     n = 20  # 60 layered vertices
     weights = np.full((3 * n, 3 * n), np.inf)
     for layer in range(2):
@@ -479,35 +474,47 @@ def test_floyd_warshall_matches_bellman_ford():
                     weights[layer * n + u, (layer + 1) * n + v] = float(
                         gen.integers(-10, 11)
                     )
-    g = LayeredDigraph(n, weights)
-    out = floyd_warshall(g)
+    out = floyd_warshall(weights)
     for source in range(0, 3 * n, 7):
-        np.testing.assert_allclose(out.dist[source], bellman_ford(weights, source))
+        np.testing.assert_allclose(out[source], bellman_ford(weights, source))
 
 
 def test_floyd_warshall_size_cap():
-    from fgcount.reductions import LayeredDigraph
-
-    g = LayeredDigraph(800, np.full((2400, 2400), np.inf))
     with pytest.raises(ValueError):
-        floyd_warshall(g, max_vertices=100)
+        floyd_warshall(np.full((2400, 2400), np.inf), max_vertices=100)
+    with pytest.raises(ValueError):
+        floyd_warshall(np.zeros((3, 4)))
 
 
 def test_apsp_check_on_path_graph_is_false():
     # u - x - v path: a (u,1) -> (v,3) walk exists but {u,v} is not an edge,
     # so no triangle closes.
     inst = NwtInstance.from_edges(([0], [1], [2]), [(0, 1, 1), (1, 2, 1)], n_vertices=3)
-    g, check = nwt_to_apsp(inst)
-    assert check(floyd_warshall(g)) is False
+    weights, check = nwt_to_apsp(inst)
+    assert check(floyd_warshall(weights)) is False
 
 
 def test_apsp_check_single_triangle_hand_computation():
     inst = _single_triangle(1, 1, -3)
-    g, check = nwt_to_apsp(inst)
-    out = floyd_warshall(g)
+    weights, check = nwt_to_apsp(inst)
+    out = floyd_warshall(weights)
     # the cheapest (u,1) -> (v,3) walk for edge {u,v} = {2,0} (weight -3)
     # goes through the opposite vertex: 1 + 1 = 2; 2 + (-3) < 0
     assert check(out) is True
+
+
+def test_nwt_to_apsp_weights_match_a_per_edge_loop():
+    gen = np.random.default_rng(232)
+    inst = random_nwt(gen, 6, 5, 4, density=0.6)
+    n = inst.n_vertices
+    expected = np.full((3 * n, 3 * n), np.inf)
+    for u in range(n):
+        for v in range(n):
+            if inst.adjacency[u, v]:
+                for layer in (0, 1):
+                    expected[layer * n + u, (layer + 1) * n + v] = float(inst.weights[u, v])
+    weights, _ = nwt_to_apsp(inst)
+    np.testing.assert_array_equal(weights, expected)
 
 
 def test_decide_nwt_agrees_with_apsp_route():

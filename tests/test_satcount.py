@@ -13,11 +13,9 @@ from fgcount.generators import GeneratorSpec, generate
 from fgcount.instances import Problem
 from fgcount.rng import RngStream, derive_stream
 from fgcount.satcount import (
-    FAIL,
     AugmentedFormula,
     CapExceeded,
     CnfFormula,
-    Count,
     EnumerationDecider,
     SatSolveConfig,
     SatSolveParams,
@@ -67,12 +65,10 @@ def test_assigned_formula_counts_the_completions_of_the_assignment():
     assert brute_force_count(g) == 1
     assert decide_pi_ks(g) is True
     assert g.cnf is f.cnf and g.xors is f.xors
-    assert g.partial_assignment == {1: 1}
     assert (g.assigned_mask, g.value_bits) == (0b1, 0b1)
     assert g.first_free_variable() == 2
     h = g.assign(3, 0)
     assert (h.assigned_mask, h.value_bits) == (0b101, 0b001)
-    assert h.partial_assignment == {1: 1, 3: 0}
     assert AugmentedFormula(cnf, rows, h.assigned_mask, h.value_bits) == h
     # the two branches on a variable split the parent's solutions
     for var in (1, 2, 3):
@@ -92,7 +88,6 @@ def test_assignment_masks_are_validated():
     with pytest.raises(ValueError):
         AugmentedFormula(cnf, SparseXorSystem(2))
     f = AugmentedFormula(cnf, rows, 0b111, 0b101)
-    assert f.partial_assignment == {1: 1, 2: 0, 3: 1}
     assert f.free_count() == 0 and f.first_free_variable() is None
     g = augment(cnf).assign(2, 1)
     for var, value in ((0, 1), (4, 1), (1, 2), (2, 0), (2, 1)):
@@ -149,18 +144,18 @@ def oracle_dpll(f):
 
 def test_sparse_count_unsatisfiable_is_zero():
     f = augment(CnfFormula(2, 3, ((1,), (-1,))))
-    assert sparse_count(f, 10, oracle_dpll) == Count(0)
+    assert sparse_count(f, 10, oracle_dpll) == 0
 
 
 def test_sparse_count_no_variables_is_one():
     f = augment(CnfFormula(0, 1, ()))
-    assert sparse_count(f, 1, oracle_dpll) == Count(1)
+    assert sparse_count(f, 1, oracle_dpll) == 1
 
 
 def test_sparse_count_budget_boundary():
     f = augment(CnfFormula(2, 3, ((1, 2),)))
-    assert sparse_count(f, 3, oracle_dpll) == Count(3)
-    assert sparse_count(f, 2, oracle_dpll) is FAIL
+    assert sparse_count(f, 3, oracle_dpll) == 3
+    assert sparse_count(f, 2, oracle_dpll) is None
 
 
 def test_sparse_count_matches_exhaustive_on_random_pairs():
@@ -173,9 +168,9 @@ def test_sparse_count_matches_exhaustive_on_random_pairs():
         budget = int(gen.integers(0, 2**n + 2))
         result = sparse_count(f, budget, oracle_dpll)
         if exact <= budget:
-            assert result == Count(exact)
+            assert result == exact
         else:
-            assert result is FAIL
+            assert result is None
 
 
 def test_sparse_count_oracle_budget():
@@ -194,7 +189,7 @@ def test_sparse_count_aborts_the_whole_computation():
     # Once the budget is exhausted, no further oracle calls may happen.
     f = augment(CnfFormula(6, 1, ()))  # 64 solutions
     oracle = CountingOracle(oracle_dpll)
-    assert sparse_count(f, 3, oracle) is FAIL
+    assert sparse_count(f, 3, oracle) is None
     burned = oracle.calls
     # counting 3+1 solutions at depth 6 plus pruning takes far fewer calls
     # than visiting the whole tree
@@ -206,12 +201,12 @@ _TWO_SOLUTIONS = CnfFormula(2, 1, ((1,),))  # x1 = 1
 
 
 @pytest.mark.parametrize("formula, budget, result, calls", [
-    (augment(CnfFormula(0, 1, ())), 5, Count(1), 1),
-    (augment(_ONE_SOLUTION).assign(2, 1).assign(1, 1), 5, Count(1), 1),
-    (augment(_ONE_SOLUTION).assign(2, 1).assign(1, 0), 5, Count(0), 1),
-    (augment(_ONE_SOLUTION), 0, FAIL, 5),
-    (augment(_ONE_SOLUTION), 1, Count(1), 5),
-    (augment(_TWO_SOLUTIONS), 1, FAIL, 5),
+    (augment(CnfFormula(0, 1, ())), 5, 1, 1),
+    (augment(_ONE_SOLUTION).assign(2, 1).assign(1, 1), 5, 1, 1),
+    (augment(_ONE_SOLUTION).assign(2, 1).assign(1, 0), 5, 0, 1),
+    (augment(_ONE_SOLUTION), 0, None, 5),
+    (augment(_ONE_SOLUTION), 1, 1, 5),
+    (augment(_TWO_SOLUTIONS), 1, None, 5),
 ], ids=["no-variables", "fully-assigned", "fully-assigned-unsat", "budget-0-one-solution",
         "budget-1-one-solution", "budget-1-two-solutions"])
 def test_sparse_count_edges(formula, budget, result, calls):
@@ -362,7 +357,7 @@ def test_enumeration_decider_matches_dpll_along_self_reduction():
         r1 = sparse_count(aug, 1 << n, enum)
         r2 = sparse_count(aug, 1 << n, oracle_dpll)
         assert r1 == r2
-        assert r1 == Count(brute_force_count(aug))
+        assert r1 == brute_force_count(aug)
 
 
 def test_enumeration_decider_handles_non_prefix_assignments():
@@ -404,8 +399,8 @@ def test_enumeration_decider_answers_as_dpll_call_for_call():
             result = sparse_count(start, 1 << n, by_enum)
             assert result == sparse_count(start, 1 << n, by_dpll)
             assert by_enum.log == by_dpll.log
-            assert result == Count(brute_force_count(start))
-            counts.append(result.value)
+            assert result == brute_force_count(start)
+            counts.append(result)
             assert (start.assigned_mask, start.value_bits) == by_enum.log[0][:2]
     assert 0 in counts and max(counts) > 1
 
@@ -567,7 +562,7 @@ def test_counting_runs_are_pinned():
         f = augment(random_cnf(gen, n, int(gen.integers(0, 3 * n + 1))))
         oracle = CountingOracle(oracle_dpll)
         result = sparse_count(f, int(gen.integers(0, 2**n + 2)), oracle)
-        records.append((None if result is FAIL else result.value, oracle.calls))
+        records.append((result, oracle.calls))
     assert sum(calls for _, calls in records) == 43103
     assert hashlib.sha256(repr(records).encode()).hexdigest() == (
         "d5889b91bc54521cbee649cbe9dbe50d15e4d12aefb9d83bfeb276c1abdb3cc4"
@@ -750,7 +745,8 @@ def reference_count(f):
     for code in range(1 << f.n_vars):
         x = {v: code >> (v - 1) & 1 for v in range(1, f.n_vars + 1)}
         total += (
-            all(x[v] == b for v, b in f.partial_assignment.items())
+            all(x[v] == f.value_bits >> (v - 1) & 1
+                for v in x if f.assigned_mask >> (v - 1) & 1)
             and all(any(x[abs(l)] == (l > 0) for l in c) for c in f.cnf.clauses)
             and all(
                 sum(x[v] for v in x if mask >> (v - 1) & 1) % 2 == rhs
