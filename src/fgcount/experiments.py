@@ -245,7 +245,8 @@ class ExperimentConfig:
 
         The top level is an object whose keys are those of ``_CONFIG_TYPES``;
         an unknown key is an error, so a misspelt one cannot silently fall
-        back to its default.  ``eps`` and ``trials`` are required.
+        back to its default.  ``eps`` and ``trials`` are required; a key left
+        out takes its field's default.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
