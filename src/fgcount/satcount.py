@@ -503,7 +503,7 @@ def sat_solve(
     *,
     config: SatSolveConfig = DEFAULT_SAT_CONFIG,
 ) -> Optional[int]:
-    """Count satisfying assignments within (1 ± eps), or report no estimate.
+    """Estimate the number of solutions within (1 ± eps), or report no estimate.
 
     Stages: (1) tiny instances are enumerated outright; (2) a budgeted
     self-reduction counts exactly when there are at most ~2^(t + delta n/2)
