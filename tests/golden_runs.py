@@ -8,7 +8,7 @@ branch, iterations, halvings, removals, ``final_t`` and
 
 The edge runs cover the ``bip-loop-16k`` benchmark configuration (count 0 of
 seeds 1-3), a star-skewed graph, and the OV, 3SUM (duplicate C) and NWT
-counters with and without a ``decision=`` procedure.  The small instances
+counters, each with and without a ``decision=`` procedure.  The small instances
 run under a zeta override and a reduced ``core_factor`` so that removal and
 halving run at desk scale.
 
@@ -52,6 +52,7 @@ from fgcount.reductions import (
     count_3sum,
     count_nwt,
     count_ov,
+    decide_3sum,
     decide_nwt,
     decide_ov,
 )
@@ -133,13 +134,13 @@ def _ov(**kwargs) -> dict:
     return _counter_run(count_ov, inst, 300, 0.1, **kwargs)
 
 
-def _three_sum() -> dict:
+def _three_sum(**kwargs) -> dict:
     gen = np.random.default_rng(14)  # C in steps of 3: three multiplicity layers
     inst = ThreeSumInstance(
         gen.integers(-300, 301, 400), gen.integers(-300, 301, 400),
         gen.integers(-100, 101, 60) // 3 * 3,
     )
-    return _counter_run(count_3sum, inst, 800, 0.25)
+    return _counter_run(count_3sum, inst, 800, 0.25, **kwargs)
 
 
 def _nwt(**kwargs) -> dict:
@@ -158,6 +159,7 @@ EDGE_RUNS = {
     "ov/decide_ov": lambda: _ov(decision=decide_ov),
     "ov/amplified": lambda: _ov(decision=decide_ov, decision_failure_prob=0.2),
     "3sum/duplicate-c": _three_sum,
+    "3sum/decide_3sum": lambda: _three_sum(decision=decide_3sum),
     "nwt": _nwt,
     "nwt/decide_nwt": lambda: _nwt(decision=decide_nwt),
 }
