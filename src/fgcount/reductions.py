@@ -18,12 +18,16 @@ evaluate that kernel, in blocks sized by the one block rule in
 ``oracles``.  With the built-in decider an independence query is therefore
 answered on the parent's data, without building a sub-instance.  A
 caller-supplied ``decision=`` procedure keeps the paper's contract: it
-receives the materialized sub-instance and decides whether it has a
-witness; for OV and 3SUM, B's rows for the bound right set are sliced once
-per bind and shared, read-only, by that set's sub-instances.  The built-in
-deciders are deterministic, so the failure-amplification wrapper is
-engaged only when a caller declares an injected decision procedure to be
-randomized.
+receives a plain, fully checked sub-instance and decides whether it has a
+witness.  The bound right set's share of a sub-instance is built once per
+bind, the rest once per query.  For 3SUM and OV it is A[left] and B[right]
+(and all of C), B[right] sliced per bind and shared read-only; for NWT it
+is A[left], B and C relabelled 0..k-1, with every edge at A[left] but only
+the bound edges inside B ∪ C, that block built per bind.
+
+The built-in deciders are deterministic, so the failure-amplification
+wrapper is engaged only when a caller declares an injected decision
+procedure to be randomized.
 
 Counting conventions: duplicate values count with multiplicity everywhere.
 For 3SUM that means tuples, not distinct sums: the exact counter weighs
@@ -215,6 +219,8 @@ class NwtInstance:
         for u, v, w in edges:
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n_vertices})")
+            if adjacency[u, v]:
+                raise ValueError(f"edge ({u}, {v}) is listed twice")
             adjacency[u, v] = adjacency[v, u] = True
             weights[u, v] = weights[v, u] = w
         return cls(n_vertices, pa, pb, pc, adjacency, weights)
@@ -272,9 +278,14 @@ class _Witnesses:
     left rows sized by ``oracles._block_rows``.  Adjacency answers in
     neighbour counts, so it counts a block's nonzero entries per column:
     a pair with any multiplicity is one edge.
+
+    ``restrict(right)`` does a bound right set's share of a sub-instance
+    once per bind and returns ``left -> sub-instance``: a plain, checked
+    instance whose witnesses are the kernel's nonzero pairs in left x right.
     """
 
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    restrict: Callable[[np.ndarray], Callable[[np.ndarray], object]]
     left_size: int
     right_size: int
 
@@ -296,15 +307,15 @@ class _Witnesses:
     def count(self) -> int:
         return sum(int(block.sum()) for block in self._blocks(*self._all()))
 
-    def oracles(
-        self,
-        independence: Optional[Callable[[np.ndarray], Callable[[np.ndarray], bool]]] = None,
-    ) -> BipartiteOracles:
+    def oracles(self, decision: Optional[Callable[[object], bool]] = None) -> BipartiteOracles:
         """Oracle pair whose adjacency counts the kernel's nonzero entries
-        per right column; independence defaults to the kernel too."""
-        if independence is None:
-            def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+        per right column.  Independence runs the kernel too, or, given a
+        ``decision`` procedure, asks it about the restricted sub-instance."""
+        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
+            if decision is None:
                 return lambda left: not self.has_witness(left, right)
+            build = self.restrict(right)
+            return lambda left: not decision(build(left))
 
         return BipartiteOracles(
             self.left_size, self.right_size, independence,
@@ -328,7 +339,11 @@ def _three_sum_witnesses(inst: ThreeSumInstance) -> _Witnesses:
         idx = np.minimum(np.searchsorted(values, sums), values.size - 1)
         return np.where(values[idx] == sums, mult[idx], 0)
 
-    return _Witnesses(multiplicity, int(inst.a.size), int(inst.b.size))
+    def restrict(right: np.ndarray) -> Callable[[np.ndarray], ThreeSumInstance]:
+        b = _read_only(inst.b[right])
+        return lambda left: ThreeSumInstance(inst.a[left], b, inst.c, inst.n_bound)
+
+    return _Witnesses(multiplicity, restrict, int(inst.a.size), int(inst.b.size))
 
 
 def decide_3sum(inst: ThreeSumInstance) -> bool:
@@ -350,15 +365,7 @@ def three_sum_oracles(
     A custom ``decision`` receives the sub-instance (A[left], B[right], C);
     B[right] is sliced once per bound right set and is read-only.
     """
-    independence = None
-    if decision is not None:
-        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-            b = _read_only(inst.b[right])
-            return lambda left: not decision(
-                ThreeSumInstance(inst.a[left], b, inst.c, inst.n_bound)
-            )
-
-    return _three_sum_witnesses(inst).oracles(independence)
+    return _three_sum_witnesses(inst).oracles(decision)
 
 
 def count_3sum(
@@ -374,13 +381,11 @@ def count_3sum(
     """Approximate the number of tuples (a, b, c) with a + b = c.
 
     Within (1 ± eps) of the exact tuple count with probability >= 2/3.  At
-    eps <= n^-3 estimating is pointless and the exact count is returned.
-    Duplicates in C are handled by one estimator pass per multiplicity
-    layer; with distinct C there is a single pass.
+    eps <= n^-3, n = |A| + |B| + |C|, estimating is pointless and the exact
+    count is returned.  Duplicates in C are handled by one estimator pass
+    per multiplicity layer; with distinct C there is a single pass.
     """
-    _check_eps(eps)
-    n = inst.n
-    if n == 0 or eps <= n**-3.0:
+    if _exact_regime(eps, inst.n, 3):
         return count_3sum_exact(inst)
 
     values, mult = np.unique(inst.c, return_counts=True)
@@ -410,7 +415,11 @@ def _ov_witnesses(inst: OvInstance) -> _Witnesses:
     def orthogonal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return ((pa[left][:, None, :] & pb[right][None, :, :]) == 0).all(axis=2)
 
-    return _Witnesses(orthogonal, int(pa.shape[0]), int(pb.shape[0]))
+    def restrict(right: np.ndarray) -> Callable[[np.ndarray], OvInstance]:
+        b = _read_only(inst.b[right])
+        return lambda left: OvInstance(inst.a[left], b)
+
+    return _Witnesses(orthogonal, restrict, int(pa.shape[0]), int(pb.shape[0]))
 
 
 def decide_ov(inst: OvInstance) -> bool:
@@ -432,13 +441,7 @@ def ov_oracles(
     A custom ``decision`` receives the sub-instance (A[left], B[right]);
     B[right] is sliced once per bound right set and is read-only.
     """
-    independence = None
-    if decision is not None:
-        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-            b = _read_only(inst.b[right])
-            return lambda left: not decision(OvInstance(inst.a[left], b))
-
-    return _ov_witnesses(inst).oracles(independence)
+    return _ov_witnesses(inst).oracles(decision)
 
 
 def count_ov(
@@ -451,10 +454,11 @@ def count_ov(
     decision_failure_prob: float = 0.0,
     stats: Optional[CountStats] = None,
 ) -> int:
-    """Approximate the number of orthogonal pairs, (1 ± eps) w.p. >= 2/3."""
-    _check_eps(eps)
-    n = inst.n
-    if n == 0 or eps <= n**-2.0:
+    """Approximate the number of orthogonal pairs, (1 ± eps) w.p. >= 2/3.
+
+    At eps <= n^-2, n = |A| + |B|, the exact count is returned.
+    """
+    if _exact_regime(eps, inst.n, 2):
         return count_ov_exact(inst)
     oracles = ov_oracles(inst, decision)
     return _run_edge_count(oracles, eps, rng, config, decision_failure_prob, stats)
@@ -469,16 +473,33 @@ def _nwt_witnesses(inst: NwtInstance) -> _Witnesses:
     """Left = part A, right = edges inside B ∪ C (in ``bc_edges`` order).
 
     A vertex and an edge are a witness iff they close a negative triangle.
+    A sub-instance query gathers k x k matrices, k = |left| + |B| + |C|.
     """
-    vb, vc = inst.bc_edges()
+    pa, pb, pc = inst.part_a, inst.part_b, inst.part_c
+    bi, ci = np.nonzero(inst.adjacency[np.ix_(pb, pc)])  # bc_edges(), as part positions
+    vb, vc, bc = pb[bi], pc[ci], np.concatenate([pb, pc])
     adj, w = inst.adjacency, inst.weights
 
     def negative_triangle(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        a = inst.part_a[left][:, None]
+        a = pa[left][:, None]
         b, c = vb[right], vc[right]
         return adj[a, b] & adj[a, c] & (w[a, b] + w[b, c] + w[c, a] < 0)
 
-    return _Witnesses(negative_triangle, int(inst.part_a.size), int(vb.size))
+    def restrict(right: np.ndarray) -> Callable[[np.ndarray], NwtInstance]:
+        bound = np.zeros((bc.size, bc.size), dtype=bool)
+        bound[bi[right], pb.size + ci[right]] = True
+        bound |= bound.T
+
+        def sub_instance(left: np.ndarray) -> NwtInstance:
+            verts = np.concatenate([pa[left], bc])
+            sub_adj = adj[np.ix_(verts, verts)]
+            sub_adj[left.size :, left.size :] = bound
+            parts = np.split(np.arange(verts.size), [left.size, left.size + pb.size])
+            return NwtInstance(verts.size, *parts, sub_adj, w[np.ix_(verts, verts)])
+
+        return sub_instance
+
+    return _Witnesses(negative_triangle, restrict, int(pa.size), int(vb.size))
 
 
 def decide_nwt(inst: NwtInstance) -> bool:
@@ -491,48 +512,17 @@ def count_nwt_exact(inst: NwtInstance) -> int:
     return _nwt_witnesses(inst).count()
 
 
-def _sub_nwt_instance(
-    inst: NwtInstance, left: np.ndarray, right: np.ndarray
-) -> NwtInstance:
-    """Materialized sub-instance for an independence query.
-
-    Keeps every edge meeting a selected A-vertex plus the selected BC
-    edges; its negative triangles are exactly the bipartite edges inside
-    the queried subset.
-    """
-    vb, vc = inst.bc_edges()
-    keep_a = inst.part_a[left]
-    adjacency = np.zeros_like(inst.adjacency)
-    adjacency[keep_a, :] = inst.adjacency[keep_a, :]
-    adjacency[:, keep_a] = inst.adjacency[:, keep_a]
-    bsel, csel = vb[right], vc[right]
-    adjacency[bsel, csel] = True
-    adjacency[csel, bsel] = True
-    return NwtInstance(
-        inst.n_vertices,
-        keep_a,
-        inst.part_b,
-        inst.part_c,
-        adjacency,
-        inst.weights,
-    )
-
-
 def nwt_oracles(
     inst: NwtInstance,
     decision: Optional[Callable[[NwtInstance], bool]] = None,
 ) -> BipartiteOracles:
     """Oracle pair: left = part A, right = edges inside B ∪ C.
 
-    A custom ``decision`` receives the sub-instance ``_sub_nwt_instance``
-    materializes.
+    A custom ``decision`` receives a compact sub-instance: the queried A
+    vertices plus all of B and C, relabelled 0..k-1, with only the queried
+    B–C edges inside B ∪ C.
     """
-    independence = None
-    if decision is not None:
-        def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-            return lambda left: not decision(_sub_nwt_instance(inst, left, right))
-
-    return _nwt_witnesses(inst).oracles(independence)
+    return _nwt_witnesses(inst).oracles(decision)
 
 
 def count_nwt(
@@ -547,14 +537,13 @@ def count_nwt(
 ) -> int:
     """Approximate the number of negative triangles, (1 ± eps) w.p. >= 2/3.
 
-    The estimator's vertex count is |A| plus the number of edges inside
-    B ∪ C (the right side is that edge list), which can be quadratic in
-    the graph's own vertex count — this is what the exact-enumeration
-    cutoff is measured against.
+    At eps <= n^-3, n = |A| + |B| + |C|, the exact count is returned.  The
+    estimator's vertex count is |A| plus the number of edges inside B ∪ C
+    (the right side is that edge list), which can be quadratic in the
+    graph's own vertex count — this is what the exact-enumeration cutoff is
+    measured against.
     """
-    _check_eps(eps)
-    n = inst.n
-    if n == 0 or eps < n**-3.0:
+    if _exact_regime(eps, inst.n, 3):
         return count_nwt_exact(inst)
     oracles = nwt_oracles(inst, decision)
     return _run_edge_count(oracles, eps, rng, config, decision_failure_prob, stats)
@@ -619,9 +608,11 @@ def decide_nwt_via_apsp(inst: NwtInstance, *, max_vertices: int = 2048) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _check_eps(eps: float) -> None:
+def _exact_regime(eps: float, n: int, k: int) -> bool:
+    """Check eps; True iff n == 0 or eps <= n^-k, where a counter counts exactly."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
+    return n == 0 or eps <= n**-k
 
 
 def _run_edge_count(

@@ -210,10 +210,13 @@ _NWT_PARTS = {"A": [0], "B": [1], "C": [2]}
     ("count-nwt", {"type": "nwt", "parts": _NWT_PARTS,
                    "edges": [[0, 1, 2**62], [1, 2, 2**62], [0, 2, 2**62]]}),
     ("count-3sum", {"type": "3sum", "A": [-(2**63)], "B": [0], "C": [0]}),
+    # the repeat would overwrite w(0, 1) and close the negative triangle (0, 1, 2)
+    ("count-nwt", {"type": "nwt", "parts": _NWT_PARTS,
+                   "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1], [1, 0, -9]]}),
 ], ids=["ov-missing-key", "nwt-endpoint-above-n", "ov-negative-entry",
         "bench-missing-instance", "nwt-negative-endpoint", "3sum-float-entry",
         "nwt-negative-part-member", "3sum-nested-list", "nwt-weight-overflow",
-        "3sum-minus-two-to-the-63"])
+        "3sum-minus-two-to-the-63", "nwt-repeated-edge"])
 def test_malformed_instance_files_are_usage_errors(runner, tmp_path, command, payload):
     if command == "bench":
         payload = {**payload, "instance_path": str(tmp_path / "missing.json")}

@@ -15,7 +15,6 @@ from fgcount.reductions import (
     NwtInstance,
     OvInstance,
     ThreeSumInstance,
-    _sub_nwt_instance,
     count_3sum,
     count_3sum_exact,
     count_nwt,
@@ -349,20 +348,23 @@ def test_nwt_oracles_consistency_and_closure():
         edges = nwt_pairs(inst)
         assert edges.any() and not edges.all()
         np.testing.assert_array_equal(oracles.adjacency_block(np.arange(nl), np.arange(nr)), edges)
+        seen = []
+        recording = nwt_oracles(inst, lambda sub: seen.append(sub) or decide_nwt(sub))
         for _ in range(150):
             lsel = np.flatnonzero(gen.random(nl) < 0.4)
             rsel = np.flatnonzero(gen.random(nr) < 0.4)
             expected = not edges[np.ix_(lsel, rsel)].any()
             assert oracles.independence_query(lsel, rsel) == expected
-            # the materialized sub-instance is a valid instance with the same answer
-            sub = _sub_nwt_instance(inst, lsel, rsel)
-            assert isinstance(sub, NwtInstance)
-            assert decide_nwt(sub) == (not expected)
+            # the decider's sub-instance is a valid instance with the same answer
+            seen.clear()
+            assert recording.independence_query(lsel, rsel) == expected
+            assert len(seen) == 1 and isinstance(seen[0], NwtInstance)
+            assert decide_nwt(seen[0]) == (not expected)
 
 
 def test_nwt_custom_decision_receives_subinstance():
     gen = np.random.default_rng(222)
-    inst = random_nwt(gen, 5, 5, 5)
+    inst = random_nwt(gen, 9, 5, 6)
     seen = []
 
     def decision(sub):
@@ -370,8 +372,25 @@ def test_nwt_custom_decision_receives_subinstance():
         return decide_nwt(sub)
 
     oracles = nwt_oracles(inst, decision)
-    oracles.independence_query(np.arange(2), np.arange(min(3, oracles.right_size)))
-    assert len(seen) == 1 and isinstance(seen[0], NwtInstance)
+    edges = nwt_pairs(inst)
+    for _ in range(100):
+        lsel = np.flatnonzero(gen.random(oracles.left_size) < 0.4)
+        rsel = np.flatnonzero(gen.random(oracles.right_size) < 0.4)
+        seen.clear()
+        oracles.independence_query(lsel, rsel)
+        # compact: the window's A vertices plus all of B and C, not all n vertices
+        assert len(seen) == 1 and isinstance(seen[0], NwtInstance)
+        assert seen[0].n_vertices == seen[0].n == lsel.size + 5 + 6
+        assert decide_nwt(seen[0]) == edges[np.ix_(lsel, rsel)].any()
+        assert count_nwt_exact(seen[0]) == int(edges[np.ix_(lsel, rsel)].sum())
+
+
+def test_nwt_rejects_repeated_edges():
+    parts = ([0], [1], [2])
+    # the second listing would overwrite w(0, 1) and close a negative triangle
+    for repeat in ((0, 1, -9), (1, 0, -9), (0, 1, 1)):
+        with pytest.raises(ValueError, match="listed twice"):
+            NwtInstance.from_edges(parts, [(0, 1, 1), (1, 2, 1), (0, 2, 1), repeat])
 
 
 def test_nwt_rejects_weights_too_large_for_int64_sums():
@@ -393,8 +412,31 @@ def test_count_nwt_trivial_and_exact_fallback():
     assert count_nwt(inst, 0.5, RngStream(2)) == 1
     gen = np.random.default_rng(223)
     inst = random_nwt(gen, 6, 6, 6)
-    eps = 17.9**-3  # just below n^-3 = 18^-3
+    # 17.9^-3 lies above n^-3 = 18^-3, so this runs the estimator, which
+    # counts exactly because n = 18 is under exact_cutoff; the n^-3 boundary
+    # itself is test_counters_count_exactly_at_eps_n_to_the_minus_k.
+    eps = 17.9**-3
     assert count_nwt(inst, eps, RngStream(3)) == count_nwt_exact(inst)
+
+
+@pytest.mark.parametrize("problem", ["3sum", "ov", "nwt"])
+def test_counters_count_exactly_at_eps_n_to_the_minus_k(problem):
+    # At eps exactly n^-k (k = 3 for 3SUM and NWT, 2 for OV) every counter
+    # takes its exact path: no estimator pass runs.
+    gen = np.random.default_rng(225)
+    if problem == "3sum":
+        inst = ThreeSumInstance(*(gen.integers(-9, 10, 6) for _ in range(3)))
+        count, exact, k = count_3sum, count_3sum_exact, 3
+    elif problem == "ov":
+        inst = OvInstance(gen.random((9, 5)) < 0.4, gen.random((9, 5)) < 0.4)
+        count, exact, k = count_ov, count_ov_exact, 2
+    else:
+        inst = random_nwt(gen, 6, 6, 6)
+        count, exact, k = count_nwt, count_nwt_exact, 3
+    assert inst.n == 18
+    stats = CountStats()
+    assert count(inst, 18.0**-k, RngStream(4), stats=stats) == exact(inst)
+    assert stats.edgecount == []
 
 
 # -- all three kernels -------------------------------------------------------
