@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .oracles import BipartiteOracles, amplified_independence
+from .oracles import BipartiteOracles, _as_index_array, amplified_independence
 from .rng import RngStream, derive_stream
 
 __all__ = [
@@ -83,8 +83,10 @@ def halve(X, rng: RngStream) -> np.ndarray:
     """Keep each element of X independently with probability 1/2.
 
     Deterministic in (X, rng): the same stream always halves the same way.
+    X must be a 1-D integer index sequence (``TypeError`` / ``ValueError``
+    otherwise, as for the oracle object's own index checks).
     """
-    X = np.asarray(X, dtype=np.int64)
+    X = _as_index_array(X)
     if X.size == 0:
         return X.copy()
     keep = rng.generator().integers(0, 2, size=X.size).astype(bool)
@@ -143,8 +145,9 @@ def find_core(
     returned set S collects the right vertices adjacent to at least
     xi*fcc/2 members of Y; with probability >= 1 - 3/n it contains every
     vertex of degree >= xi |U_X| and nothing of degree below xi |U_X| / 24.
+    X is checked as ``halve`` checks it.
     """
-    X = np.asarray(X, dtype=np.int64)
+    X = _as_index_array(X)
     if X.size == 0:
         raise ValueError("find_core requires a nonempty right-side set")
     if not 0.0 < xi < 1.0:
@@ -161,18 +164,23 @@ def find_core(
         return ExactCount(oracles.count_edges_incident(all_left, X))
 
     gen = rng.generator()
-    order = gen.permutation(oracles.left_size).astype(np.int64)
+    order = gen.permutation(oracles.left_size)  # int64: its windows are copied unconverted
     t = order.size
 
     # Every vertex before ``lo`` is located or certified isolated from X, so
     # each search only queries the window order[lo:k]; order[lo:lo] is empty.
+    # ``window_is_empty`` reads ``lo`` when called, so one closure serves the
+    # whole pass.
     bound_X = oracles.bind_right(X)
+    query = oracles.independence_query
+
+    def window_is_empty(k: int) -> bool:
+        return query(order[lo:k], bound_X)
+
     hit_positions: list[int] = []
     lo = 0
     while len(hit_positions) < fcc and lo < t:
-        k = _gallop_max_true(
-            lambda k: oracles.independence_query(order[lo:k], bound_X), lo, t
-        )
+        k = _gallop_max_true(window_is_empty, lo, t)
         if k == t:
             break
         hit_positions.append(k)

@@ -72,6 +72,36 @@ def test_find_core_rejects_contract_violations():
         find_core(matrix_oracles(np.zeros((0, 1), dtype=bool)), [0], 0.5, RngStream(1))
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.array([1.5] * 80), TypeError),
+        (np.ones(80, dtype=bool), TypeError),
+        (np.arange(80).reshape(2, 40), ValueError),
+    ],
+    ids=["float", "bool", "2-d"],
+)
+def test_find_core_and_halve_reject_non_index_x(bad, error):
+    # Casting would turn these into indices: 1.5 into vertex 1, a mask into
+    # vertex 1 repeated.
+    oracles = matrix_oracles(np.eye(40, dtype=bool))
+    with pytest.raises(error):
+        find_core(oracles, bad, 0.5, RngStream(1))
+    with pytest.raises(error):
+        halve(bad, RngStream(1))
+    assert (oracles.independence_calls, oracles.adjacency_calls) == (0, 0)
+
+
+def test_find_core_and_halve_take_any_integer_x():
+    oracles = matrix_oracles(np.eye(40, dtype=bool))
+    X = np.arange(40, dtype=np.int32)
+    assert find_core(oracles, X, 0.5, RngStream(1)) == ExactCount(40)
+    kept = halve(X, RngStream(2))
+    assert kept.dtype == np.int64
+    np.testing.assert_array_equal(kept, halve(X.astype(np.int64), RngStream(2)))
+    assert halve([], RngStream(1)).size == 0
+
+
 def test_small_right_side_counts_exactly():
     # |X| = 3 < 24 ln 50, so the edges incident to X are enumerated outright.
     adj = np.zeros((47, 3), dtype=bool)

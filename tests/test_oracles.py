@@ -247,12 +247,13 @@ def test_amplified_wrapper_fixes_a_noisy_decider():
 
 
 @pytest.mark.parametrize(
-    "n_left, n_right", [(600, 37), (0, 37), (600, 0), (256, 5), (257, 5), (513, 90)]
+    "n_left, n_right",
+    [(600, 37), (0, 37), (600, 0), (256, 5), (257, 5), (513, 90), (255, 5), (254, 5)],
 )
 def test_chunked_adjacency_block_matches_fancy_indexing(n_left, n_right):
     gen = np.random.default_rng(n_left + n_right)
     adj = gen.random((700, 90)) < 0.2
-    left = gen.integers(0, 700, size=n_left)  # crosses 256-row chunks, with repeats
+    left = gen.integers(0, 700, size=n_left)  # crosses _CHUNK-row chunks, with repeats
     right = gen.integers(0, 90, size=n_right)
     oracles = matrix_oracles(adj)
     expected = adj[np.ix_(left, right)]
@@ -267,9 +268,9 @@ def test_chunked_adjacency_block_matches_fancy_indexing(n_left, n_right):
 
 
 def test_backend_sees_one_block_at_a_time():
-    # A right side past 2^11 entries lowers the row cap below 256; every
-    # entry point hands the backend blocks within the cap, and the pairs it
-    # sees add up to the adjacency counter.
+    # A right side past 2^19 / _CHUNK entries lowers the row cap below
+    # _CHUNK; every entry point hands the backend blocks within the cap, and
+    # the pairs it sees add up to the adjacency counter.
     gen = np.random.default_rng(31)
     adj = gen.random((700, 3000)) < 0.01
     seen = []
@@ -280,7 +281,7 @@ def test_backend_sees_one_block_at_a_time():
 
     oracles = BipartiteOracles(700, 3000, lambda right: lambda left: True, backend)
     left, right = np.arange(700), np.arange(3000)
-    assert _block_rows(right.size) < 256
+    assert _block_rows(right.size) < _CHUNK
     np.testing.assert_array_equal(oracles.adjacency_block(left, right), adj)
     np.testing.assert_array_equal(oracles.neighbor_counts(left, right), adj.sum(axis=0))
     assert oracles.count_edges_incident(left[:300], right[:40]) == int(adj[:300, :40].sum())
@@ -289,6 +290,24 @@ def test_backend_sees_one_block_at_a_time():
     assert max(rows for rows, cols in seen if cols == right.size) == _block_rows(right.size)
     assert all(rows <= _block_rows(cols) for rows, cols in seen)
     assert sum(rows * cols for rows, cols in seen) == oracles.adjacency_calls
+
+
+def test_uint8_chunk_sums_are_exact_at_the_cap():
+    # matrix_oracles sums a chunk's rows in uint8, which holds 255 at most,
+    # so a chunk must not hold more rows than that.  In an all-True matrix
+    # every column of a full chunk sums to the cap.
+    assert _CHUNK <= 255
+    adj = np.ones((2 * _CHUNK + 3, 7), dtype=bool)
+    oracles = matrix_oracles(adj)
+    right = np.arange(7)
+    lefts = [
+        np.arange(_CHUNK), np.arange(_CHUNK + 1), np.arange(2 * _CHUNK),
+        np.full(_CHUNK, 4),  # one row, _CHUNK times
+    ]
+    for left in lefts:
+        counts = oracles.neighbor_counts(left, right)
+        np.testing.assert_array_equal(counts, adj[left].sum(axis=0))
+        assert counts.tolist() == [left.size] * 7
 
 
 def _peak_bytes(fn) -> int:
@@ -432,6 +451,66 @@ def test_left_indices_are_checked_at_query(bad):
     with pytest.raises(IndexError):
         oracles.independence_query([bad, 1], bound)
     assert oracles.independence_calls == 0
+
+
+_ORDER = np.random.default_rng(95).permutation(40)  # int64, like find_core's
+_ACCEPTED_LEFTS = {
+    "int64-view": lambda: _ORDER[3:11],
+    "strided": lambda: _ORDER[::3],
+    "list": lambda: _ORDER[:9].tolist(),
+    "uint8": lambda: _ORDER[:7].astype(np.uint8),
+    "int32": lambda: _ORDER[5:17].astype(np.int32),
+    "big-endian": lambda: _ORDER[:6].astype(">i8"),
+    "empty": lambda: [],
+}
+_REJECTED_LEFTS = {
+    "bool": (lambda: np.ones(4, dtype=bool), TypeError),
+    "float": (lambda: _ORDER[:4].astype(float), TypeError),
+    "2-d": (lambda: _ORDER[:6].reshape(2, 3), ValueError),
+    "2-d-list": (lambda: [[1, 2], [3, 4]], ValueError),
+    "negative": (lambda: np.array([3, -1]), IndexError),
+    "negative-list": (lambda: [3, -1], IndexError),
+    "left-size": (lambda: np.array([40, 3]), IndexError),
+    "left-size-list": (lambda: [40], IndexError),
+}
+
+
+def test_one_query_path_gives_the_same_verdicts():
+    # An int64 1-D ndarray is copied without conversion and every other
+    # input is checked and converted; both must accept and reject alike,
+    # and hand the predicate a fresh sorted int64 copy, which it may write.
+    adj = np.random.default_rng(96).random((40, 30)) < 0.05
+    right = np.arange(0, 30, 4)
+    received = []
+
+    def independence(bound):
+        def predicate(left):
+            received.append((left.dtype, left.tolist()))
+            answer = not adj[np.ix_(left, bound)].any()
+            left[...] = 0
+            return answer
+
+        return predicate
+
+    oracles = BipartiteOracles(40, 30, independence, lambda u, v: adj[np.ix_(u, v)].sum(axis=0))
+    bound = oracles.bind_right(right)
+    order_before = _ORDER.copy()
+    verdicts = set()
+    for name, make in _ACCEPTED_LEFTS.items():
+        left = make()
+        given = np.array(left, dtype=np.int64)
+        answer = oracles.independence_query(left, bound)
+        verdicts.add(answer)
+        assert answer == (not adj[np.ix_(given, right)].any()), name
+        assert received[-1] == (np.dtype(np.int64), sorted(given.tolist())), name
+        np.testing.assert_array_equal(np.asarray(left, dtype=np.int64), given)
+    np.testing.assert_array_equal(_ORDER, order_before)
+    assert verdicts == {True, False}
+    assert oracles.independence_calls == len(_ACCEPTED_LEFTS)
+    for name, (make, error) in _REJECTED_LEFTS.items():
+        with pytest.raises(error):
+            oracles.independence_query(make(), bound)
+    assert oracles.independence_calls == len(received) == len(_ACCEPTED_LEFTS)
 
 
 def test_bound_indices_are_a_sorted_read_only_copy():
