@@ -443,6 +443,53 @@ def test_solution_codes_agree_with_count():
         assert solution_codes(f).size == brute_force_count(augment(f))
 
 
+def _reference_codes(f: AugmentedFormula, candidates=None) -> list[int]:
+    """The solutions of ``f`` among ``candidates`` (default: every n-bit code),
+    checking each code with int arithmetic."""
+    out = []
+    clauses, rows = f.cnf.masks, f.xors.rows
+    for c in range(1 << f.n_vars) if candidates is None else candidates:
+        if c & f.assigned_mask != f.value_bits:
+            continue
+        for pos, neg in clauses:
+            if not c & pos | ~c & neg:
+                break
+        else:
+            for mask, rhs in rows:
+                if (c & mask).bit_count() & 1 != rhs:
+                    break
+            else:
+                out.append(c)
+    return out
+
+
+# 0, 1 and 5..7 variables sit around one 64-bit word, 17..20 around 2^18 bits
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 17, 18, 19, 20])
+def test_enumeration_matches_a_per_assignment_reference(n):
+    gen = np.random.default_rng(107 + n)
+    formulas = [CnfFormula(n, 1, ()), CnfFormula(n, 1, ((),))]
+    if n:
+        random = random_cnf(gen, n, int(gen.integers(0, 4 * n + 1)))
+        tautology = (1, -1) + ((2,) if n > 1 else ())
+        formulas.append(CnfFormula(n, 3, random.clauses + (tautology,)))
+    for cnf in formulas:
+        plain = _reference_codes(augment(cnf))
+        codes = solution_codes(cnf)
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == plain
+        assert np.all(np.diff(codes.astype(np.int64)) > 0)
+    # the last formula again under XOR rows and no, one or many assigned
+    # variables; the reference filters its solutions, not all 2^n codes again
+    for assigned in (0, 1 << int(gen.integers(0, n)), int(gen.integers(0, 1 << n))) if n else (0,):
+        rows = tuple(
+            (int(gen.integers(0, 1 << n)), int(gen.integers(0, 2)))
+            for _ in range(int(gen.integers(0, min(n, 5) + 1)))
+        )
+        values = int(gen.integers(0, 1 << n)) & assigned
+        f = AugmentedFormula(cnf, SparseXorSystem(n, rows), assigned, values)
+        assert brute_force_count(f) == len(_reference_codes(f, plain))
+
+
 # -- sat_solve ---------------------------------------------------------------
 
 
