@@ -127,17 +127,30 @@ def test_malformed_xor_line_is_a_usage_error(runner, tmp_path):
     assert r.output.startswith("error: ")
 
 
-def test_count_cnf_exact_beyond_the_exact_cap_is_cap_exceeded(runner, tmp_path):
-    # 25 variables: the estimate enumerates (cap 26), the exact count does not (cap 24)
+def test_count_cnf_exact_up_to_the_enumeration_cap(runner, tmp_path):
+    # 25 variables: the estimate and the exact count both enumerate (cap 26)
     path = tmp_path / "f.cnf"
     r = runner.invoke(main, ["gen", "--problem", "cnf", "--n", "25",
                              "--clauses", "2", "--seed", "4", "--out", str(path)])
     assert r.exit_code == 0, r.output
     r = runner.invoke(main, ["count-cnf", str(path), "--exact"])
+    assert r.exit_code == 0, r.output
+    estimate, exact = r.output.strip().splitlines()
+    assert int(estimate) > 0
+    assert exact == f"exact {estimate}"
+
+
+def test_count_3sum_exact_beyond_the_exact_cap_is_cap_exceeded(runner, tmp_path):
+    # 420 elements: the estimate runs, the exact count passes the cubic cap
+    path = tmp_path / "t.txt"
+    r = runner.invoke(main, ["gen", "--problem", "3sum", "--n", "420",
+                             "--seed", "2", "--out", str(path)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["count-3sum", str(path), "--exact"])
     assert r.exit_code == EXIT_NO_ESTIMATE
     assert r.exception is None or isinstance(r.exception, SystemExit)
     estimate, cap_line = r.output.strip().splitlines()
-    assert int(estimate) > 0
+    assert int(estimate) >= 0
     assert cap_line.startswith("CAP_EXCEEDED: ")
 
 

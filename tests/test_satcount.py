@@ -490,6 +490,23 @@ def test_enumeration_matches_a_per_assignment_reference(n):
         assert brute_force_count(f) == len(_reference_codes(f, plain))
 
 
+def test_enumeration_at_the_cap():
+    gen = np.random.default_rng(108)
+    cnf = random_cnf(gen, 26, 60)
+    f = AugmentedFormula(cnf, sample_hash(6, 2, 26, RngStream(108)))
+    total = brute_force_count(f)
+    assert total > 0
+    # x3 indexes the bits of a table, x24 is spelled by a block number
+    for var in (3, 24):
+        assert brute_force_count(f.assign(var, 0)) + brute_force_count(f.assign(var, 1)) == total
+    with pytest.raises(CapExceeded, match="^27 free variables exceed the enumeration cap 26$"):
+        brute_force_count(augment(CnfFormula(27, 1, ())))
+    wide = CnfFormula(65, 1, ())
+    f = AugmentedFormula(wide, SparseXorSystem(65), (1 << 65) - 1 - 0b111, 0)
+    with pytest.raises(CapExceeded, match="^65 variables do not fit a 64-bit code$"):
+        brute_force_count(f)
+
+
 # -- sat_solve ---------------------------------------------------------------
 
 
