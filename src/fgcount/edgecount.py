@@ -36,9 +36,6 @@ from .oracles import BipartiteOracles, _as_index_array, amplified_independence
 from .rng import RngStream, derive_stream
 
 __all__ = [
-    "ExactCount",
-    "Core",
-    "FindCoreOutcome",
     "find_core",
     "halve",
     "EdgeCountConfig",
@@ -54,23 +51,6 @@ class IterationBudgetExceeded(RuntimeError):
     This is a probability <= 1/3 event on a well-formed oracle; callers
     treat it as a failed trial rather than silently returning garbage.
     """
-
-
-@dataclass(frozen=True)
-class ExactCount:
-    """Core finding short-circuited: the exact incident edge count eb(X)."""
-
-    count: int
-
-
-@dataclass(frozen=True)
-class Core:
-    """Candidate high-degree set S of X (a xi-core with probability 1-3/n)."""
-
-    vertices: np.ndarray
-
-
-FindCoreOutcome = Union[ExactCount, Core]
 
 
 def _is_unbalancer(S, xi: float, factor: float) -> bool:
@@ -126,8 +106,8 @@ def find_core(
     rng: RngStream,
     *,
     factor: float = 24.0,
-) -> FindCoreOutcome:
-    """Exact count for thin instances, else a candidate high-degree set.
+) -> Union[int, np.ndarray]:
+    """Exact count eb(X) as an ``int`` for thin instances, else a candidate core.
 
     If |X| < 24 ln n the incident edges are enumerated outright.  Otherwise
     a uniformly random ordering of the left side is scanned with binary
@@ -142,10 +122,10 @@ def find_core(
     the window start lo.  X is bound once before the scan
     (``BipartiteOracles.bind_right``): the backend prepares it once, and
     each query sorts and checks only its window.  In the sampled case, the
-    returned set S collects the right vertices adjacent to at least
-    xi*fcc/2 members of Y; with probability >= 1 - 3/n it contains every
-    vertex of degree >= xi |U_X| and nothing of degree below xi |U_X| / 24.
-    X is checked as ``halve`` checks it.
+    returned int64 index array S (a xi-core with probability >= 1 - 3/n)
+    collects the right vertices adjacent to at least xi*fcc/2 members of Y:
+    every vertex of degree >= xi |U_X| and nothing of degree below
+    xi |U_X| / 24.  X is checked as ``halve`` checks it.
     """
     X = _as_index_array(X)
     if X.size == 0:
@@ -161,7 +141,7 @@ def find_core(
 
     # Thin right side: enumerate edges incident to X directly.
     if X.size < factor * math.log(n):
-        return ExactCount(oracles.count_edges_incident(all_left, X))
+        return oracles.count_edges_incident(all_left, X)
 
     gen = rng.generator()
     order = gen.permutation(oracles.left_size)  # int64: its windows are copied unconverted
@@ -191,10 +171,10 @@ def find_core(
 
     if exhausted:
         # Y is all of U_X; every edge incident to X has its left endpoint in Y.
-        return ExactCount(oracles.count_edges_incident(Y, X))
+        return oracles.count_edges_incident(Y, X)
 
     counts = oracles.neighbor_counts(Y, X)
-    return Core(vertices=X[counts >= xi * fcc / 2.0])
+    return X[counts >= xi * fcc / 2.0]
 
 
 # Analysis constants of ``edge_count`` that no caller varies.
@@ -262,7 +242,7 @@ def edge_count(
     config: EdgeCountConfig = DEFAULT_CONFIG,
     oracle_failure_prob: float = 0.0,
     stats: Optional[EdgeCountStats] = None,
-    find_core_impl: Optional[Callable[..., FindCoreOutcome]] = None,
+    find_core_impl: Optional[Callable[..., Union[int, np.ndarray]]] = None,
     halve_impl: Optional[Callable[[np.ndarray, RngStream], np.ndarray]] = None,
 ):
     """Estimate e(G) within a factor (1 ± eps) with probability >= 2/3.
@@ -272,7 +252,8 @@ def edge_count(
     the surviving set X at accuracy zeta/``CORE_XI_DIVISOR`` (48) with
     zeta = eps^2/(``zeta_constant`` ln(n)^3), ``zeta_constant`` = 36^2:
 
-    * an exact answer ends the run with 2^t * eb(X) + N;
+    * an exact count (anything but an index array) ends the run with
+      2^t * eb(X) + N;
     * a witness certifies X balanced, so X is halved and t incremented;
     * an unbalancer S is priced exactly (eb(S) by adjacency probing) and a
       second core pass at accuracy zeta decides whether X\\S may be halved
@@ -297,7 +278,9 @@ def edge_count(
 
     ``find_core_impl`` / ``halve_impl`` are test seams for instrumented
     runs (e.g. replacing halving with a no-op to check the bookkeeping
-    identity); production callers leave them unset.
+    identity); production callers leave them unset.  A ``find_core_impl``
+    returns what ``find_core`` does: an ``np.ndarray`` is a core, any other
+    value (a numpy integer too) is eb of the set it was given.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
@@ -343,11 +326,10 @@ def edge_count(
         if X.size == 0:
             return finish("empty", 0)
 
-        outcome = fc(oracles, X, xi_first, derive_stream(rng, f"core-a-{iteration}"))
-        if isinstance(outcome, ExactCount):
-            return finish("first-pass", outcome.count)
+        S = fc(oracles, X, xi_first, derive_stream(rng, f"core-a-{iteration}"))
+        if not isinstance(S, np.ndarray):
+            return finish("first-pass", S)
 
-        S = outcome.vertices
         if not _is_unbalancer(S, xi_first, config.core_factor):
             X = hv(X, derive_stream(rng, f"halve-a-{iteration}"))
             t += 1
@@ -362,12 +344,11 @@ def edge_count(
             # eb(X) = eb(S) exactly; nothing left to estimate.
             return finish("second-pass", eb_S)
 
-        outcome2 = fc(oracles, remaining, zeta, derive_stream(rng, f"core-b-{iteration}"))
-        if isinstance(outcome2, ExactCount):
+        S2 = fc(oracles, remaining, zeta, derive_stream(rng, f"core-b-{iteration}"))
+        if not isinstance(S2, np.ndarray):
             # eb(X) = eb(X \ S) + eb(S); S's mass rejoins before scaling.
-            return finish("second-pass", outcome2.count + eb_S)
+            return finish("second-pass", S2 + eb_S)
 
-        S2 = outcome2.vertices
         N += (1 << t) * eb_S
         st.removals += 1
         if _is_unbalancer(S2, zeta, config.core_factor):

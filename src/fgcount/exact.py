@@ -5,10 +5,8 @@ Caps bound the enumeration cost (the 3SUM/NWT caps are expressed as the
 work of a cubic scan at 400 elements; OV caps the instance size) and raise
 ``satcount.CapExceeded`` rather than silently grinding.  A CNF is counted
 by ``brute_force_count`` under its own cap of 26 free variables, the one
-``approx_count_cnf``'s brute-force branch uses too.  It evaluates the
-clauses on bit-packed truth tables, 2^18 assignments per table: about
-0.15 ms at 16 variables, 7 ms at 24 and 35 ms at 26 (random 3-CNFs,
-``BENCH_enumeration.json``, 2-vCPU Xeon VM).
+``approx_count_cnf``'s brute-force branch uses too; its docstring gives
+the enumeration timings.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .reductions import (
 )
 from .satcount import AugmentedFormula, CapExceeded, CnfFormula, augment, brute_force_count
 
-__all__ = ["exact_count", "CUBIC_WORK_CAP", "OV_SIZE_CAP"]
+__all__ = ["exact_count"]
 
 CUBIC_WORK_CAP = 400**3  # enumeration work equivalent to a cubic scan at n=400
 OV_SIZE_CAP = 8192

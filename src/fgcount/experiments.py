@@ -152,16 +152,11 @@ def instance_counter(
     return run
 
 
-def bipartite_counter(
-    adjacency: np.ndarray,
-    eps: float,
-    *,
-    config: EdgeCountConfig = DEFAULT_CONFIG,
-) -> Counter:
-    """Counting callback for an explicit synthetic bipartite graph."""
+def bipartite_counter(adjacency: np.ndarray, eps: float) -> Counter:
+    """Counting callback for an explicit synthetic bipartite graph (default constants)."""
 
     def run(rng: RngStream, stats: CountStats) -> Optional[int]:
-        return _run_edge_count(matrix_oracles(adjacency), eps, rng, config, 0.0, stats)
+        return _run_edge_count(matrix_oracles(adjacency), eps, rng, DEFAULT_CONFIG, 0.0, stats)
 
     return run
 
@@ -309,10 +304,8 @@ def scaling_probe(
     eps: float,
     trials: int,
     master: RngStream,
-    *,
-    config: EdgeCountConfig = DEFAULT_CONFIG,
 ) -> list[tuple[int, int]]:
-    """Median independence-query count per instance size.
+    """Median independence-query count per instance size (default constants).
 
     One random instance per size, every size generated from the template's
     own seed (so a smaller OV instance's A rows are a prefix of a larger
@@ -326,7 +319,7 @@ def scaling_probe(
     for size in sizes:
         spec = replace(template, n=size)
         inst = generate(spec)
-        counter = instance_counter(inst, eps, config=config)
+        counter = instance_counter(inst, eps)
         records = run_trials(
             counter, trials, derive_stream(master, f"probe-{size}"), exact=None
         )

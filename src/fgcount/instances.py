@@ -97,7 +97,10 @@ def loads_instance(text: str) -> ProblemInstance:
         if kind == "3sum":
             return ThreeSumInstance(*(_integers(payload[k], k) for k in "ABC"))
         if kind == "ov":
-            return OvInstance(_integers(payload["A"], "A"), _integers(payload["B"], "B"))
+            a, b, d = _integers(payload["A"], "A"), _integers(payload["B"], "B"), payload["d"]
+            if any(v.ndim == 2 and v.shape[1] != d for v in (a, b)):
+                raise ValueError(f"ov vectors must have d = {d!r} entries")
+            return OvInstance(a, b)
         if kind == "nwt":
             parts = payload["parts"]
             edges = _integers(payload["edges"], "edges")

@@ -109,7 +109,7 @@ class ThreeSumInstance:
             self.n_bound = max(largest, 1)
         elif largest > self.n_bound:
             raise ValueError("entries exceed the stated value bound")
-        if self.n_bound > 2**62:
+        if self.n_bound >= 2**62:
             raise ValueError("value bound too large for int64 sums")
 
     @property
@@ -554,17 +554,18 @@ def count_nwt(
 # --------------------------------------------------------------------------
 
 
-def floyd_warshall(weights: np.ndarray, *, max_vertices: int = 2048) -> np.ndarray:
+def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     """All-pairs shortest distances of a square weight matrix (cubic relaxation).
 
     ``weights[u, v]`` is the weight of the edge u -> v, +inf where none runs;
-    the result is +inf where v is unreachable from u.
+    the result is +inf where v is unreachable from u.  More than 2048
+    vertices raise ``ValueError``.
     """
     n = weights.shape[0]
     if weights.shape != (n, n):
         raise ValueError(f"a weight matrix is square, got shape {weights.shape}")
-    if n > max_vertices:
-        raise ValueError(f"{n} vertices exceed the Floyd-Warshall cap {max_vertices}")
+    if n > 2048:
+        raise ValueError(f"{n} vertices exceed the Floyd-Warshall cap 2048")
     dist = weights.astype(np.float64, copy=True)
     np.fill_diagonal(dist, np.minimum(np.diag(dist), 0.0))
     for k in range(n):
@@ -597,10 +598,10 @@ def nwt_to_apsp(inst: NwtInstance) -> tuple[np.ndarray, Callable[[np.ndarray], b
     return weights, check
 
 
-def decide_nwt_via_apsp(inst: NwtInstance, *, max_vertices: int = 2048) -> bool:
+def decide_nwt_via_apsp(inst: NwtInstance) -> bool:
     """Cross-validation decider: run the layered reduction through APSP."""
     weights, check = nwt_to_apsp(inst)
-    return check(floyd_warshall(weights, max_vertices=max_vertices))
+    return check(floyd_warshall(weights))
 
 
 # --------------------------------------------------------------------------

@@ -157,10 +157,6 @@ class AugmentedFormula:
     def free_count(self) -> int:
         return self.cnf.n_vars - self.assigned_mask.bit_count()
 
-    def first_free_variable(self) -> Optional[int]:
-        free = ~self.assigned_mask & ((1 << self.cnf.n_vars) - 1)
-        return (free & -free).bit_length() or None
-
     def assign(self, var: int, value: int) -> "AugmentedFormula":
         """The same formula with x_var = value added to the assignment."""
         if not 1 <= var <= self.cnf.n_vars:
@@ -368,7 +364,7 @@ def _fold(op, tables: np.ndarray, which: list[int]) -> np.ndarray:
     return out
 
 
-def _truth_tables(f: AugmentedFormula, cap: int):
+def _truth_tables(f: AugmentedFormula):
     """Yield (block, table) for every block of f's free assignments holding a solution.
 
     The lowest _BLOCK_BITS free variables index a table's bits and the rest
@@ -382,8 +378,8 @@ def _truth_tables(f: AugmentedFormula, cap: int):
     variable are ANDed once, into the table every block starts from.
     """
     width = f.free_count()
-    if width > cap:
-        raise CapExceeded(f"{width} free variables exceed the enumeration cap {cap}")
+    if width > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"{width} free variables exceed the enumeration cap {BRUTE_FORCE_CAP}")
     if f.n_vars > 64:
         raise CapExceeded(f"{f.n_vars} variables do not fit a 64-bit code")
     free = [p for p in range(f.n_vars) if not f.assigned_mask >> p & 1]
@@ -448,19 +444,20 @@ def _truth_tables(f: AugmentedFormula, cap: int):
             yield block, table
 
 
-def brute_force_count(f: AugmentedFormula, *, cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force_count(f: AugmentedFormula) -> int:
     """Exact solution count by exhaustive enumeration over free variables.
 
+    More than ``BRUTE_FORCE_CAP`` (26) free variables raise ``CapExceeded``.
     Sums the set bits of ``_truth_tables``, which evaluates every clause and
     row on 2^18 assignments at a time.  One count of a random 3-CNF takes
     about 0.15 ms at 16 variables, 7 ms at 24 and 35 ms at 26 on a 2-vCPU
     Xeon VM (``BENCH_enumeration.json``); per-code evaluation took 3 ms,
     3 s and 12-15 s.
     """
-    return sum(int(np.bitwise_count(table).sum()) for _, table in _truth_tables(f, cap))
+    return sum(int(np.bitwise_count(table).sum()) for _, table in _truth_tables(f))
 
 
-def solution_codes(cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> np.ndarray:
+def solution_codes(cnf: CnfFormula) -> np.ndarray:
     """All satisfying assignments of a plain CNF as n-bit codes (bit v-1 = x_v).
 
     The set bits of ``_truth_tables``' blocks, decoded in ascending order:
@@ -470,7 +467,7 @@ def solution_codes(cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> np.ndarray
     """
     low = min(cnf.n_vars, _BLOCK_BITS)
     parts = [np.zeros(0, dtype=np.uint64)]
-    for block, table in _truth_tables(augment(cnf), cap):
+    for block, table in _truth_tables(augment(cnf)):
         bits = np.unpackbits(table.astype("<u8", copy=False).view(np.uint8), bitorder="little")
         parts.append(np.flatnonzero(bits).astype(np.uint64) | np.uint64(block << low))
     return np.concatenate(parts)
@@ -479,20 +476,22 @@ def solution_codes(cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> np.ndarray
 class EnumerationDecider:
     """Exact oracle for descendants of one base CNF, backed by a solution table.
 
-    Enumerates the base CNF's solutions once, then answers satisfiability of
-    any formula over that CNF obtained by conjoining XOR rows and assigning
-    variables — the query pattern of ``sparse_count`` driven by
-    ``sat_solve``; a formula over another CNF raises ``ValueError``.  Per
-    rows object (a self-reduction shares one) it keeps the T solution codes
-    satisfying the rows and a set of at most sum_j min(2^j, T) prefix keys
-    (c & (2^j - 1)) | 2^j, j = 0..n.  An assignment of a variable prefix
-    x_1..x_j is one lookup of values | 2^j; any other scans the kept codes.
+    Enumerates the base CNF's solutions once (``solution_codes``: more than
+    ``BRUTE_FORCE_CAP`` = 26 variables raise ``CapExceeded``), then answers
+    satisfiability of any formula over that CNF obtained by conjoining XOR
+    rows and assigning variables — the query pattern of ``sparse_count``
+    driven by ``sat_solve``; a formula over another CNF raises
+    ``ValueError``.  Per rows object (a self-reduction shares one) it keeps
+    the T solution codes satisfying the rows and a set of at most
+    sum_j min(2^j, T) prefix keys (c & (2^j - 1)) | 2^j, j = 0..n.  An
+    assignment of a variable prefix x_1..x_j is one lookup of values | 2^j;
+    any other scans the kept codes.
     """
 
-    def __init__(self, cnf: CnfFormula, *, cap: int = BRUTE_FORCE_CAP) -> None:
+    def __init__(self, cnf: CnfFormula) -> None:
         self.cnf = cnf
         self.n = cnf.n_vars
-        self.codes = solution_codes(cnf, cap=cap)
+        self.codes = solution_codes(cnf)
         self.calls = 0
         self._rows: Optional[tuple] = None  # the rows the table was filtered by
         self._kept: list[int] = []

@@ -40,17 +40,16 @@ def sparse_bipartite(left: int, right: int, rng: RngStream) -> np.ndarray:
     return random_bipartite(left, right, min(1.0, 4.0 / max(left, 1)), rng)
 
 
-def star_skewed_bipartite(
-    left: int, right: int, rng: RngStream, *, stars: int = 8, base_prob: float = 0.002
-) -> np.ndarray:
-    """A few right vertices adjacent to everything, the rest near-isolated.
+def star_skewed_bipartite(left: int, right: int, rng: RngStream) -> np.ndarray:
+    """Eight right vertices adjacent to everything, the rest near-isolated.
 
-    The stars carry almost all edges, which is exactly the degree skew the
-    core-removal machinery exists for.
+    Every other pair is an edge with probability 0.002, so the stars carry
+    almost all edges: exactly the degree skew the core-removal machinery
+    exists for.
     """
     gen = rng.generator()
-    adj = gen.random((left, right)) < base_prob
-    star_cols = gen.permutation(right)[:stars]
+    adj = gen.random((left, right)) < 0.002
+    star_cols = gen.permutation(right)[:8]
     adj[:, star_cols] = True
     return adj
 

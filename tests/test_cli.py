@@ -226,10 +226,12 @@ _NWT_PARTS = {"A": [0], "B": [1], "C": [2]}
     # the repeat would overwrite w(0, 1) and close the negative triangle (0, 1, 2)
     ("count-nwt", {"type": "nwt", "parts": _NWT_PARTS,
                    "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1], [1, 0, -9]]}),
+    ("count-ov", {"type": "ov", "A": [[1, 0]], "B": [[0, 1]]}),
+    ("count-ov", {"type": "ov", "d": 5, "A": [[1, 0]], "B": [[0, 1]]}),
 ], ids=["ov-missing-key", "nwt-endpoint-above-n", "ov-negative-entry",
         "bench-missing-instance", "nwt-negative-endpoint", "3sum-float-entry",
         "nwt-negative-part-member", "3sum-nested-list", "nwt-weight-overflow",
-        "3sum-minus-two-to-the-63", "nwt-repeated-edge"])
+        "3sum-minus-two-to-the-63", "nwt-repeated-edge", "ov-missing-d", "ov-wrong-d"])
 def test_malformed_instance_files_are_usage_errors(runner, tmp_path, command, payload):
     if command == "bench":
         payload = {**payload, "instance_path": str(tmp_path / "missing.json")}

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from fgcount.edgecount import (
-    Core,
     EdgeCountConfig,
     EdgeCountStats,
-    ExactCount,
     IterationBudgetExceeded,
     edge_count,
 )
@@ -25,9 +23,9 @@ def eb(adj, sel):
 class ScriptedCore:
     """find_core stand-in that pops prescribed outcomes in call order.
 
-    Each script entry is a callable taking the current X and returning a
-    FindCoreOutcome; the last entry repeats forever.  Records every call's
-    (X, xi) for later assertions.
+    Each script entry is a callable taking the current X and returning what
+    find_core does, an exact count or a core array; the last entry repeats
+    forever.  Records every call's (X, xi) for later assertions.
     """
 
     def __init__(self, script):
@@ -121,12 +119,12 @@ def test_scripted_bookkeeping_identity():
     s3 = np.asarray([3])
 
     script = [
-        lambda X: Core(np.empty(0, dtype=np.int64)),  # E2 it1: witness -> halve
-        lambda X: Core(s1),  # E2 it2: unbalancer
-        lambda X: Core(np.empty(0, dtype=np.int64)),  # E5 it2: witness -> E6
-        lambda X: Core(s2),  # E2 it3: unbalancer
-        lambda X: Core(s3),  # E5 it3: unbalancer -> E7
-        lambda X: ExactCount(eb(adj, X)),  # E2 it4: finish
+        lambda X: np.empty(0, dtype=np.int64),  # E2 it1: witness -> halve
+        lambda X: s1,  # E2 it2: unbalancer
+        lambda X: np.empty(0, dtype=np.int64),  # E5 it2: witness -> E6
+        lambda X: s2,  # E2 it3: unbalancer
+        lambda X: s3,  # E5 it3: unbalancer -> E7
+        lambda X: eb(adj, X),  # E2 it4: finish
     ]
     stub = ScriptedCore(script)
     st = EdgeCountStats()
@@ -157,11 +155,11 @@ def test_scripted_conservation_without_halving():
     s1 = np.asarray([0, 4, 8])
     s2 = np.asarray([11, 12])
     script = [
-        lambda X: Core(s1),
-        lambda X: Core(np.asarray([20])),  # E5: unbalancer -> E7 (no halve)
-        lambda X: Core(s2),
-        lambda X: Core(np.asarray([21])),  # E5: unbalancer -> E7
-        lambda X: ExactCount(eb(adj, X)),
+        lambda X: s1,
+        lambda X: np.asarray([20]),  # E5: unbalancer -> E7 (no halve)
+        lambda X: s2,
+        lambda X: np.asarray([21]),  # E5: unbalancer -> E7
+        lambda X: eb(adj, X),
     ]
     value = edge_count(
         matrix_oracles(adj),
@@ -181,8 +179,8 @@ def test_second_pass_exact_outcome_reassembles_removed_mass():
     adj = gen.random((20, 25)) < 0.5
     s1 = np.asarray([3, 6])
     script = [
-        lambda X: Core(s1),
-        lambda X: ExactCount(eb(adj, X)),  # E5 exact on X \ S
+        lambda X: s1,
+        lambda X: eb(adj, X),  # E5 exact on X \ S
     ]
     value = edge_count(
         matrix_oracles(adj),
@@ -195,6 +193,20 @@ def test_second_pass_exact_outcome_reassembles_removed_mass():
     assert value == int(adj.sum())
 
 
+def test_a_numpy_integer_from_find_core_is_an_exact_count():
+    # Only an index array is a core: np.int64(7) is eb(X), not a 1-vertex set.
+    st = EdgeCountStats()
+    value = edge_count(
+        matrix_oracles(np.ones((20, 25), dtype=bool)),
+        0.25,
+        RngStream(7),
+        config=EdgeCountConfig(exact_cutoff=0),
+        stats=st,
+        find_core_impl=ScriptedCore([lambda X: np.int64(7)]),
+    )
+    assert (value, st.exit_branch) == (7, "first-pass")
+
+
 def test_halving_to_nothing_exits_empty():
     # Remove an unbalancer, halve the rest to nothing: the run ends on the
     # "empty" branch with only the retired mass N = eb(S).
@@ -202,8 +214,8 @@ def test_halving_to_nothing_exits_empty():
     adj = gen.random((20, 25)) < 0.5
     s1 = np.asarray([3, 6])
     script = [
-        lambda X: Core(s1),
-        lambda X: Core(np.empty(0, dtype=np.int64)),  # witness -> halve X \ S
+        lambda X: s1,
+        lambda X: np.empty(0, dtype=np.int64),  # witness -> halve X \ S
     ]
     st = EdgeCountStats()
     value = edge_count(
@@ -228,10 +240,10 @@ def test_unbalancer_covering_x_exits_second_pass():
     adj = gen.random((20, 25)) < 0.5
     s1 = np.asarray([3, 6])
     stub = ScriptedCore([
-        lambda X: Core(np.empty(0, dtype=np.int64)),  # it1: witness -> halve
-        lambda X: Core(s1),  # it2: unbalancer
-        lambda X: Core(np.asarray([20])),  # it2 second pass: remove, no halve
-        lambda X: Core(X.copy()),  # it3: S = X
+        lambda X: np.empty(0, dtype=np.int64),  # it1: witness -> halve
+        lambda X: s1,  # it2: unbalancer
+        lambda X: np.asarray([20]),  # it2 second pass: remove, no halve
+        lambda X: X.copy(),  # it3: S = X
     ])
     st = EdgeCountStats()
     value = edge_count(
@@ -252,7 +264,7 @@ def test_unbalancer_covering_x_exits_second_pass():
 
 def test_iteration_budget_exceeded():
     adj = np.ones((20, 20), dtype=bool)
-    witness_forever = ScriptedCore([lambda X: Core(np.empty(0, dtype=np.int64))])
+    witness_forever = ScriptedCore([lambda X: np.empty(0, dtype=np.int64)])
     st = EdgeCountStats()
     with pytest.raises(IterationBudgetExceeded):
         edge_count(
@@ -272,10 +284,10 @@ def true_degree_core(adj, exact_below):
 
     def impl(oracles, X, xi, rng):
         if X.size <= exact_below:
-            return ExactCount(eb(adj, X))
+            return eb(adj, X)
         ux = int(adj[:, X].any(axis=1).sum())
         degrees = adj[:, X].sum(axis=0)
-        return Core(X[degrees >= xi * ux])
+        return X[degrees >= xi * ux]
 
     return impl
 
@@ -349,7 +361,7 @@ def test_true_degree_cores_with_real_halving_terminate():
 
     def recording_core(oracles, X, xi, rng):
         out = inner(oracles, X, xi, rng)
-        if isinstance(out, ExactCount):
+        if not isinstance(out, np.ndarray):
             final_x["X"] = X.copy()
         return out
 

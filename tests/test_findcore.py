@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fgcount.edgecount import (
-    Core,
-    ExactCount,
-    _is_unbalancer,
-    find_core,
-    halve,
-)
+from fgcount.edgecount import _is_unbalancer, find_core, halve
 from fgcount.oracles import BipartiteOracles, matrix_oracles
 from fgcount.rng import RngStream, derive_stream
 
@@ -54,7 +48,7 @@ def test_core_params_formula():
     oracles = matrix_oracles(adj)
     calls = record_samples(oracles)
     out = find_core(oracles, np.arange(2048), 0.25, RngStream(11))
-    assert isinstance(out, Core)
+    assert isinstance(out, np.ndarray) and out.dtype == np.int64
     sample, _ = sampled(calls)
     assert sample.size == math.ceil(24 * math.log(4096) / 0.25) == 799
 
@@ -95,7 +89,7 @@ def test_find_core_and_halve_reject_non_index_x(bad, error):
 def test_find_core_and_halve_take_any_integer_x():
     oracles = matrix_oracles(np.eye(40, dtype=bool))
     X = np.arange(40, dtype=np.int32)
-    assert find_core(oracles, X, 0.5, RngStream(1)) == ExactCount(40)
+    assert find_core(oracles, X, 0.5, RngStream(1)) == 40
     kept = halve(X, RngStream(2))
     assert kept.dtype == np.int64
     np.testing.assert_array_equal(kept, halve(X.astype(np.int64), RngStream(2)))
@@ -108,8 +102,7 @@ def test_small_right_side_counts_exactly():
     adj[0, 0] = True
     oracles = matrix_oracles(adj)
     out = find_core(oracles, np.arange(3), 0.5, RngStream(7))
-    assert isinstance(out, ExactCount)
-    assert out.count == 1
+    assert type(out) is int and out == 1
     assert oracles.independence_calls == 0
 
 
@@ -121,8 +114,7 @@ def test_star_exhausts_left_side_and_counts_exactly():
     adj[17, :] = True
     oracles = matrix_oracles(adj)
     out = find_core(oracles, np.arange(right), 0.5, RngStream(3))
-    assert isinstance(out, ExactCount)
-    assert out.count == right
+    assert type(out) is int and out == right
 
 
 def test_complete_bipartite_core_is_everything():
@@ -133,8 +125,8 @@ def test_complete_bipartite_core_is_everything():
     oracles = matrix_oracles(adj)
     calls = record_samples(oracles)
     out = find_core(oracles, np.arange(size), 0.25, RngStream(11))
-    assert isinstance(out, Core)
-    np.testing.assert_array_equal(np.sort(out.vertices), np.arange(size))
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(np.sort(out), np.arange(size))
     sample, counts = sampled(calls)
     assert sample.size == fcc(0.25, 2048)
     assert (counts == sample.size).all()
@@ -150,8 +142,8 @@ def test_complete_bipartite_core_at_scale():
         out = find_core(
             oracles, np.arange(size), 0.25, RngStream(1200 + run)
         )
-        assert isinstance(out, Core)
-        assert out.vertices.size == size
+        assert isinstance(out, np.ndarray)
+        assert out.size == size
 
 
 def test_two_tier_degrees_separate_cleanly():
@@ -166,12 +158,12 @@ def test_two_tier_degrees_separate_cleanly():
     oracles = matrix_oracles(adj)
     xi = 0.3
     out = find_core(oracles, np.arange(right), xi, RngStream(23))
-    assert isinstance(out, Core)
-    np.testing.assert_array_equal(np.sort(out.vertices), np.arange(heavy))
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(np.sort(out), np.arange(heavy))
     ux = left  # every left vertex sees a heavy column
     degrees = adj.sum(axis=0)
-    assert (degrees[out.vertices] >= xi * ux / 24).all()  # nothing light kept
-    assert set(np.flatnonzero(degrees >= xi * ux)) <= set(out.vertices)
+    assert (degrees[out] >= xi * ux / 24).all()  # nothing light kept
+    assert set(np.flatnonzero(degrees >= xi * ux)) <= set(out)
 
 
 def test_independence_query_budget():
@@ -181,7 +173,7 @@ def test_independence_query_budget():
     oracles = matrix_oracles(adj)
     xi = 0.3
     out = find_core(oracles, np.arange(right), xi, RngStream(5))
-    assert isinstance(out, Core)
+    assert isinstance(out, np.ndarray)
     assert oracles.independence_calls <= fcc(xi, left + right) * math.ceil(math.log2(left + 1))
 
 
@@ -194,8 +186,8 @@ def test_find_core_deterministic_in_stream():
         return find_core(oracles, np.arange(512), 0.5, RngStream(9)), calls
 
     (a, calls_a), (b, calls_b) = run(), run()
-    assert isinstance(a, Core) and isinstance(b, Core)
-    np.testing.assert_array_equal(a.vertices, b.vertices)
+    assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+    np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(sampled(calls_a)[0], sampled(calls_b)[0])
 
 
@@ -205,7 +197,7 @@ def test_sketch_sample_lies_in_nonisolated_left():
     oracles = matrix_oracles(adj)
     calls = record_samples(oracles)
     out = find_core(oracles, np.arange(600), 0.5, RngStream(13))
-    if isinstance(out, Core):
+    if isinstance(out, np.ndarray):
         sample, counts = sampled(calls)
         nonisolated = np.flatnonzero(adj.any(axis=1))
         assert set(sample) <= set(nonisolated)
@@ -223,7 +215,7 @@ def test_sketch_sample_is_first_nonisolated_in_the_ordering():
     oracles = matrix_oracles(adj)
     calls = record_samples(oracles)
     out = find_core(oracles, X, xi, RngStream(5))
-    assert isinstance(out, Core)
+    assert isinstance(out, np.ndarray)
     order = RngStream(5).generator().permutation(left)
     nonisolated = adj[:, X].any(axis=1)
     sample, _ = sampled(calls)
@@ -282,10 +274,10 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
     )
     calls = record_samples(oracles)
     out = find_core(oracles, X, xi, RngStream(8))
-    if isinstance(out, Core):
+    if isinstance(out, np.ndarray):
         np.testing.assert_array_equal(recorder.located, sampled(calls)[0])
     else:
-        assert out.count == int(adj[:, X].sum())
+        assert out == int(adj[:, X].sum())
         nonisolated = np.flatnonzero(adj[:, X].any(axis=1))
         assert sorted(recorder.located) == nonisolated.tolist()
 

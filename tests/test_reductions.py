@@ -184,6 +184,14 @@ def test_three_sum_bound_check_sees_minus_two_to_the_63(n_bound):
         ThreeSumInstance([-(2**63)], [0], [0], n_bound=n_bound)
 
 
+def test_three_sum_value_bound_is_below_two_to_the_62():
+    # 2^62 + 2^62 wraps around int64; 2 (2^62 - 1) still fits.
+    for args in (([2**62], [0], [0]), ([1], [0], [1], 2**62)):
+        with pytest.raises(ValueError):
+            ThreeSumInstance(*args)
+    assert ThreeSumInstance([2**62 - 1], [0], [0]).n_bound == 2**62 - 1
+
+
 @pytest.mark.parametrize("problem", ["ov", "3sum"])
 def test_custom_deciders_see_read_only_right_slices(problem):
     # Two queries against one bound right set share its B slice; a decider
@@ -523,7 +531,7 @@ def test_floyd_warshall_matches_bellman_ford():
 
 def test_floyd_warshall_size_cap():
     with pytest.raises(ValueError):
-        floyd_warshall(np.full((2400, 2400), np.inf), max_vertices=100)
+        floyd_warshall(np.full((2049, 2049), np.inf))
     with pytest.raises(ValueError):
         floyd_warshall(np.zeros((3, 4)))
 

@@ -66,7 +66,6 @@ def test_assigned_formula_counts_the_completions_of_the_assignment():
     assert decide_pi_ks(g) is True
     assert g.cnf is f.cnf and g.xors is f.xors
     assert (g.assigned_mask, g.value_bits) == (0b1, 0b1)
-    assert g.first_free_variable() == 2
     h = g.assign(3, 0)
     assert (h.assigned_mask, h.value_bits) == (0b101, 0b001)
     assert AugmentedFormula(cnf, rows, h.assigned_mask, h.value_bits) == h
@@ -88,7 +87,7 @@ def test_assignment_masks_are_validated():
     with pytest.raises(ValueError):
         AugmentedFormula(cnf, SparseXorSystem(2))
     f = AugmentedFormula(cnf, rows, 0b111, 0b101)
-    assert f.free_count() == 0 and f.first_free_variable() is None
+    assert f.free_count() == 0
     g = augment(cnf).assign(2, 1)
     for var, value in ((0, 1), (4, 1), (1, 2), (2, 0), (2, 1)):
         with pytest.raises(ValueError):
@@ -411,7 +410,7 @@ def test_enumeration_decider_prefix_keys_at_64_variables(monkeypatch):
     # handed a two-code one.
     top = 1 << 63
     table = np.array([top | 5, 6], dtype=np.uint64)
-    monkeypatch.setattr(satcount, "solution_codes", lambda cnf, cap: table)
+    monkeypatch.setattr(satcount, "solution_codes", lambda cnf: table)
     cnf = CnfFormula(64, 1, ())
     enum = EnumerationDecider(cnf)
 
