@@ -55,6 +55,21 @@ def test_serialization_is_byte_stable():
     assert dumps_instance(inst) == dumps_instance(inst)
 
 
+@pytest.mark.parametrize("inst, text", [
+    (ThreeSumInstance([1, -2], [3], [4, 0]),
+     '{"type": "3sum", "A": [1, -2], "B": [3], "C": [4, 0]}\n'),
+    (OvInstance([[1, 0, 1]], [[0, 1, 1], [1, 1, 0]]),
+     '{"type": "ov", "d": 3, "A": [[1, 0, 1]], "B": [[0, 1, 1], [1, 1, 0]]}\n'),
+    (NwtInstance.from_edges(([0], [1], [2]), [(0, 1, -5), (1, 2, 3)], n_vertices=3),
+     '{"type": "nwt", "parts": {"A": [0], "B": [1], "C": [2]}, '
+     '"edges": [[0, 1, -5], [1, 2, 3]]}\n'),
+    (NwtInstance.from_edges(([], [], []), []),
+     '{"type": "nwt", "parts": {"A": [], "B": [], "C": []}, "edges": []}\n'),
+], ids=["3sum", "ov", "nwt", "nwt-empty"])
+def test_instance_file_bytes_are_pinned(inst, text):
+    assert dumps_instance(inst) == text
+
+
 def test_unknown_type_rejected():
     with pytest.raises(ValueError):
         loads_instance('{"type": "mystery"}')
