@@ -20,10 +20,11 @@ from typing import NoReturn, Optional
 
 import click
 
-from .edgecount import IterationBudgetExceeded
 from .exact import exact_count
 from .experiments import (
     ExperimentConfig,
+    Outcome,
+    _attempt,
     instance_counter,
     probe_to_csv,
     records_to_csv,
@@ -148,17 +149,10 @@ def _count(kind, instance_file, eps, seed, exact_flag, delta=0.3):
         counter = instance_counter(inst, eps, cnf_delta=delta)
     except ValueError as exc:  # an x-line CNF
         _usage_error(str(exc))
-    try:
-        value = counter(rng, CountStats())
-    except IterationBudgetExceeded:
-        click.echo("BUDGET_EXCEEDED")
-        sys.exit(EXIT_BUDGET)
-    except CapExceeded as exc:
-        click.echo(f"CAP_EXCEEDED: {exc}")
-        sys.exit(EXIT_NO_ESTIMATE)
-    if value is None:
-        click.echo("NO_ESTIMATE")
-        sys.exit(EXIT_NO_ESTIMATE)
+    outcome, value, reason = _attempt(counter, rng, CountStats())
+    if outcome is not Outcome.OK:  # the CSV's outcome word; CAP_EXCEEDED adds its reason
+        click.echo(outcome.value if reason is None else f"{outcome.value}: {reason}")
+        sys.exit(EXIT_BUDGET if outcome is Outcome.BUDGET_EXCEEDED else EXIT_NO_ESTIMATE)
     click.echo(str(value))
     if exact_flag:
         try:

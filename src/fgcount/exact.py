@@ -12,15 +12,8 @@ the enumeration timings.
 from __future__ import annotations
 
 from .instances import Problem, ProblemInstance, problem_kind
-from .reductions import (
-    NwtInstance,
-    OvInstance,
-    ThreeSumInstance,
-    count_3sum_exact,
-    count_nwt_exact,
-    count_ov_exact,
-)
-from .satcount import AugmentedFormula, CapExceeded, CnfFormula, augment, brute_force_count
+from .reductions import count_3sum_exact, count_nwt_exact, count_ov_exact
+from .satcount import CapExceeded, CnfFormula, augment, brute_force_count
 
 __all__ = ["exact_count"]
 
@@ -32,22 +25,18 @@ def exact_count(inst: ProblemInstance) -> int:
     """Exact witness count by full enumeration (within per-problem caps)."""
     kind = problem_kind(inst)
     if kind is Problem.THREESUM:
-        assert isinstance(inst, ThreeSumInstance)
         if inst.n**3 > CUBIC_WORK_CAP:
             raise CapExceeded(f"3SUM instance of size {inst.n} exceeds the cubic cap")
         return count_3sum_exact(inst)
     if kind is Problem.OV:
-        assert isinstance(inst, OvInstance)
         if inst.n > OV_SIZE_CAP:
             raise CapExceeded(f"OV instance of size {inst.n} exceeds the cap {OV_SIZE_CAP}")
         return count_ov_exact(inst)
     if kind is Problem.NWT:
-        assert isinstance(inst, NwtInstance)
         work = int(inst.part_a.size) * int(inst.part_b.size) * int(inst.part_c.size)
         if work > CUBIC_WORK_CAP:
             raise CapExceeded(f"NWT triangle scan of {work} steps exceeds the cubic cap")
         return count_nwt_exact(inst)
     if isinstance(inst, CnfFormula):
         inst = augment(inst)
-    assert isinstance(inst, AugmentedFormula)
     return brute_force_count(inst)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -45,17 +45,6 @@ __all__ = [
 ]
 
 CSV_TAG = "# fgcount-csv v1"
-_COLUMNS = (
-    "trial_id",
-    "seed",
-    "outcome",
-    "estimate",
-    "exact",
-    "rel_error",
-    "independence_calls",
-    "adjacency_calls",
-    "wall_time_ns",
-)
 
 
 class Outcome(Enum):
@@ -67,6 +56,8 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial; its fields, in order, are the CSV columns."""
+
     trial_id: int
     seed: int
     outcome: Outcome
@@ -84,24 +75,17 @@ def _rel_error(estimate: Optional[int], exact: Optional[int]) -> Optional[float]
     return abs(float(estimate) - float(exact)) / max(float(exact), 1.0)
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value.value if isinstance(value, Outcome) else str(value)
+
+
 def records_to_csv(records: Sequence[TrialRecord]) -> str:
-    lines = [CSV_TAG, ",".join(_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.trial_id),
-                    str(r.seed),
-                    r.outcome.value,
-                    "" if r.estimate is None else repr(r.estimate),
-                    "" if r.exact is None else str(r.exact),
-                    "" if r.rel_error is None else repr(r.rel_error),
-                    str(r.independence_calls),
-                    str(r.adjacency_calls),
-                    str(r.wall_time_ns),
-                ]
-            )
-        )
+    """One row per record; the header is ``TrialRecord``'s field names."""
+    names = [f.name for f in fields(TrialRecord)]
+    lines = [CSV_TAG, ",".join(names)]
+    lines += [",".join(_cell(getattr(r, name)) for name in names) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -120,6 +104,8 @@ def strip_timing(csv_text: str) -> str:
 # A counter callback runs one estimate: (trial_rng, stats) -> value or None.
 Counter = Callable[[RngStream, CountStats], Optional[int]]
 
+_REDUCTION_COUNTERS = {Problem.THREESUM: count_3sum, Problem.OV: count_ov, Problem.NWT: count_nwt}
+
 
 def instance_counter(
     inst: ProblemInstance,
@@ -128,7 +114,7 @@ def instance_counter(
     config: EdgeCountConfig = DEFAULT_CONFIG,
     cnf_delta: float = 0.3,
 ) -> Counter:
-    """Counting callback for a problem instance (dispatch on its kind).
+    """Counting callback for a problem instance, its counter picked once here.
 
     Raises ``ValueError`` at once for a CNF with x-lines (an
     ``AugmentedFormula``): only a plain CNF has an approximate counter.
@@ -139,17 +125,10 @@ def instance_counter(
             "approximate counting takes a plain CNF; files with "
             "x-lines encode decision-oracle instances"
         )
-
-    def run(rng: RngStream, stats: CountStats) -> Optional[int]:
-        if kind is Problem.THREESUM:
-            return count_3sum(inst, eps, rng, config=config, stats=stats)
-        if kind is Problem.OV:
-            return count_ov(inst, eps, rng, config=config, stats=stats)
-        if kind is Problem.NWT:
-            return count_nwt(inst, eps, rng, config=config, stats=stats)
-        return approx_count_cnf(inst, eps, cnf_delta, rng)
-
-    return run
+    if kind is Problem.CNF:
+        return lambda rng, stats: approx_count_cnf(inst, eps, cnf_delta, rng)
+    count = _REDUCTION_COUNTERS[kind]
+    return lambda rng, stats: count(inst, eps, rng, config=config, stats=stats)
 
 
 def bipartite_counter(adjacency: np.ndarray, eps: float) -> Counter:
@@ -161,6 +140,19 @@ def bipartite_counter(adjacency: np.ndarray, eps: float) -> Counter:
     return run
 
 
+def _attempt(
+    counter: Counter, rng: RngStream, stats: CountStats
+) -> tuple[Outcome, Optional[int], Optional[str]]:
+    """Run one count: its outcome, estimate (``None`` unless OK) and cap reason."""
+    try:
+        estimate = counter(rng, stats)
+    except IterationBudgetExceeded:
+        return Outcome.BUDGET_EXCEEDED, None, None
+    except CapExceeded as exc:
+        return Outcome.CAP_EXCEEDED, None, str(exc)
+    return (Outcome.NO_ESTIMATE if estimate is None else Outcome.OK), estimate, None
+
+
 def run_trials(
     counter: Counter,
     trials: int,
@@ -169,23 +161,14 @@ def run_trials(
     exact: Optional[int] = None,
 ) -> list[TrialRecord]:
     """Run seeded trials; per-trial failures become outcomes, not aborts."""
-
-    def one(trial_id: int) -> TrialRecord:
+    records = []
+    for trial_id in range(trials):
         trial_rng = derive_stream(master, f"trial-{trial_id}")
         stats = CountStats()
         start = time.perf_counter_ns()
-        outcome = Outcome.OK
-        estimate: Optional[int] = None
-        try:
-            estimate = counter(trial_rng, stats)
-            if estimate is None:
-                outcome = Outcome.NO_ESTIMATE
-        except IterationBudgetExceeded:
-            outcome = Outcome.BUDGET_EXCEEDED
-        except CapExceeded:
-            outcome = Outcome.CAP_EXCEEDED
+        outcome, estimate, _ = _attempt(counter, trial_rng, stats)
         elapsed = time.perf_counter_ns() - start
-        return TrialRecord(
+        records.append(TrialRecord(
             trial_id=trial_id,
             seed=trial_rng.fingerprint(),
             outcome=outcome,
@@ -195,9 +178,8 @@ def run_trials(
             independence_calls=stats.independence_calls,
             adjacency_calls=stats.adjacency_calls,
             wall_time_ns=elapsed,
-        )
-
-    return [one(i) for i in range(trials)]
+        ))
+    return records
 
 
 # Each bench config key with the JSON type it takes.
@@ -286,11 +268,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 
 def success_fraction(records: Sequence[TrialRecord], eps: float) -> float:
-    ok = [r for r in records if r.outcome is Outcome.OK and r.rel_error is not None]
-    if not records:
-        return 0.0
-    hits = sum(1 for r in ok if r.rel_error <= eps)
-    return hits / len(records)
+    hits = sum(r.outcome is Outcome.OK and r.rel_error is not None and r.rel_error <= eps
+               for r in records)
+    return hits / len(records) if records else 0.0
 
 
 def summary_line(records: Sequence[TrialRecord], eps: float) -> str:
@@ -317,12 +297,8 @@ def scaling_probe(
         raise ValueError("a CNF count makes no independence queries; probe 3sum, ov or nwt")
     results = []
     for size in sizes:
-        spec = replace(template, n=size)
-        inst = generate(spec)
-        counter = instance_counter(inst, eps)
-        records = run_trials(
-            counter, trials, derive_stream(master, f"probe-{size}"), exact=None
-        )
+        counter = instance_counter(generate(replace(template, n=size)), eps)
+        records = run_trials(counter, trials, derive_stream(master, f"probe-{size}"))
         median = int(statistics.median(r.independence_calls for r in records))
         results.append((size, median))
     return results

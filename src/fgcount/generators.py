@@ -11,6 +11,7 @@ is deterministic in the spec, so two calls produce byte-identical files.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,13 @@ __all__ = ["GeneratorSpec", "InfeasiblePlant", "generate"]
 
 class InfeasiblePlant(ValueError):
     """The requested planted witness count cannot be realised at this size."""
+
+
+_INTEGER_FIELDS = ("n", "seed", "d", "value_bound", "weight_bound", "clause_count", "width_k")
+
+
+def _is_integer(value) -> bool:  # numpy integers are; bool, an int subclass, is not
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,17 @@ class GeneratorSpec:
     parts: Optional[tuple[int, int, int]] = None  # NWT part sizes override
 
     def __post_init__(self) -> None:
+        if not isinstance(self.problem, Problem):
+            raise ValueError(f"problem must be a Problem, got {self.problem!r}")
+        planted = () if self.planted_count is None else ("planted_count",)
+        for name in _INTEGER_FIELDS + planted:
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if isinstance(self.density, bool) or not isinstance(self.density, numbers.Real):
+            raise ValueError(f"density must be a number, got {self.density!r}")
+        if self.parts is not None and not (isinstance(self.parts, tuple) and len(self.parts) == 3
+                                           and all(_is_integer(p) and p >= 0 for p in self.parts)):
+            raise ValueError(f"parts must be three non-negative integers, got {self.parts!r}")
         if self.n <= 0:
             raise ValueError("size parameter n must be positive")
         if self.planted_count is not None and self.planted_count < 0:
@@ -86,9 +105,7 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
         return _gen_ov(spec, rng)
     if spec.problem is Problem.NWT:
         return _gen_nwt(spec, rng)
-    if spec.problem is Problem.CNF:
-        return _gen_cnf(spec, rng)
-    raise ValueError(f"unknown problem {spec.problem}")
+    return _gen_cnf(spec, rng)
 
 
 def _split_three(n: int) -> tuple[int, int, int]:

@@ -45,34 +45,17 @@ def problem_kind(inst: ProblemInstance) -> Problem:
 
 def dumps_instance(inst: ProblemInstance) -> str:
     kind = problem_kind(inst)
+    if kind is Problem.CNF:
+        return write_dimacs(inst)
     if kind is Problem.THREESUM:
-        payload = {
-            "type": "3sum",
-            "A": [int(x) for x in inst.a],
-            "B": [int(x) for x in inst.b],
-            "C": [int(x) for x in inst.c],
-        }
-        return json.dumps(payload) + "\n"
-    if kind is Problem.OV:
-        payload = {
-            "type": "ov",
-            "d": inst.d,
-            "A": [[int(b) for b in row] for row in inst.a],
-            "B": [[int(b) for b in row] for row in inst.b],
-        }
-        return json.dumps(payload) + "\n"
-    if kind is Problem.NWT:
-        payload = {
-            "type": "nwt",
-            "parts": {
-                "A": [int(v) for v in inst.part_a],
-                "B": [int(v) for v in inst.part_b],
-                "C": [int(v) for v in inst.part_c],
-            },
-            "edges": [[u, v, w] for u, v, w in inst.edge_list()],
-        }
-        return json.dumps(payload) + "\n"
-    return write_dimacs(inst)
+        payload = {"A": inst.a.tolist(), "B": inst.b.tolist(), "C": inst.c.tolist()}
+    elif kind is Problem.OV:
+        payload = {"d": inst.d, "A": inst.a.tolist(), "B": inst.b.tolist()}
+    else:
+        parts = (inst.part_a, inst.part_b, inst.part_c)
+        payload = {"parts": {k: p.tolist() for k, p in zip("ABC", parts)},
+                   "edges": inst.edge_list()}
+    return json.dumps({"type": kind.value, **payload}) + "\n"
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -97,10 +80,14 @@ def loads_instance(text: str) -> ProblemInstance:
         if kind == "3sum":
             return ThreeSumInstance(*(_integers(payload[k], k) for k in "ABC"))
         if kind == "ov":
-            a, b, d = _integers(payload["A"], "A"), _integers(payload["B"], "B"), payload["d"]
+            d = payload["d"]
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                raise ValueError(f"ov d must be a non-negative integer, got {d!r}")
+            a, b = (_integers(payload[k], k) for k in "AB")
             if any(v.ndim == 2 and v.shape[1] != d for v in (a, b)):
-                raise ValueError(f"ov vectors must have d = {d!r} entries")
-            return OvInstance(a, b)
+                raise ValueError(f"ov vectors must have d = {d} entries")
+            # an empty list keeps d as its width, so the file round-trips
+            return OvInstance(*(v.reshape(0, d) if v.shape == (0,) else v for v in (a, b)))
         if kind == "nwt":
             parts = payload["parts"]
             edges = _integers(payload["edges"], "edges")

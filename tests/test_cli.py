@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from fgcount.cli import EXIT_NO_ESTIMATE, EXIT_USAGE, main
+from fgcount.cli import EXIT_BUDGET, EXIT_NO_ESTIMATE, EXIT_USAGE, main
+from fgcount.edgecount import IterationBudgetExceeded
+from fgcount.satcount import CapExceeded
 
 
 @pytest.fixture()
@@ -127,6 +129,26 @@ def test_malformed_xor_line_is_a_usage_error(runner, tmp_path):
     assert r.output.startswith("error: ")
 
 
+def _raise(exc):
+    def counter(rng, stats):
+        raise exc
+    return counter
+
+
+@pytest.mark.parametrize("counter, output, code", [
+    (lambda rng, stats: 7, "7\n", 0),
+    (lambda rng, stats: None, "NO_ESTIMATE\n", EXIT_NO_ESTIMATE),
+    (_raise(IterationBudgetExceeded("forced")), "BUDGET_EXCEEDED\n", EXIT_BUDGET),
+    (_raise(CapExceeded("forced")), "CAP_EXCEEDED: forced\n", EXIT_NO_ESTIMATE),
+], ids=["ok", "no-estimate", "budget-exceeded", "cap-exceeded"])
+def test_count_prints_the_csv_outcome_word(runner, tmp_path, monkeypatch, counter, output, code):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n")
+    monkeypatch.setattr("fgcount.cli.instance_counter", lambda *args, **kwargs: counter)
+    r = runner.invoke(main, ["count-cnf", str(path)])
+    assert (r.output, r.exit_code) == (output, code)
+
+
 def test_count_cnf_exact_up_to_the_enumeration_cap(runner, tmp_path):
     # 25 variables: the estimate and the exact count both enumerate (cap 26)
     path = tmp_path / "f.cnf"
@@ -228,10 +250,15 @@ _NWT_PARTS = {"A": [0], "B": [1], "C": [2]}
                    "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1], [1, 0, -9]]}),
     ("count-ov", {"type": "ov", "A": [[1, 0]], "B": [[0, 1]]}),
     ("count-ov", {"type": "ov", "d": 5, "A": [[1, 0]], "B": [[0, 1]]}),
+    # each of these loaded: true as 1, and any d when there are no vectors
+    ("count-ov", {"type": "ov", "d": True, "A": [[1]], "B": [[0]]}),
+    ("count-ov", {"type": "ov", "d": "x", "A": [], "B": []}),
+    ("count-ov", {"type": "ov", "d": -2, "A": [], "B": []}),
 ], ids=["ov-missing-key", "nwt-endpoint-above-n", "ov-negative-entry",
         "bench-missing-instance", "nwt-negative-endpoint", "3sum-float-entry",
         "nwt-negative-part-member", "3sum-nested-list", "nwt-weight-overflow",
-        "3sum-minus-two-to-the-63", "nwt-repeated-edge", "ov-missing-d", "ov-wrong-d"])
+        "3sum-minus-two-to-the-63", "nwt-repeated-edge", "ov-missing-d", "ov-wrong-d",
+        "ov-bool-d", "ov-string-d-no-vectors", "ov-negative-d-no-vectors"])
 def test_malformed_instance_files_are_usage_errors(runner, tmp_path, command, payload):
     if command == "bench":
         payload = {**payload, "instance_path": str(tmp_path / "missing.json")}
@@ -277,10 +304,21 @@ _BENCH_CONFIG = {"eps": 0.3, "trials": 2, "master_seed": 11,
     {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "core_factor": 0}},
     {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "core_factor": -3}},
     {**_BENCH_CONFIG, "overrides": {"exact_cutoff": 0, "iteration_factor": 7}},
+    # each of these ended in a TypeError traceback
+    {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "n": 10.5}},
+    {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "d": 3.5}},
+    {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "seed": "x"}},
+    {**_BENCH_CONFIG, "generator": {"problem": "cnf", "n": 8, "width_k": 2.5}},
+    {**_BENCH_CONFIG, "generator": {"problem": "cnf", "n": 8, "clause_count": 2.5}},
+    # each of these exited 0, taking true as 1
+    {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "planted_count": True}},
+    {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "density": True}},
 ], ids=["top-level-list", "unknown-key", "float-trials", "bool-trials", "string-seed",
         "string-eps", "null-cnf-delta", "string-compute-exact", "unknown-generator-key",
         "string-override", "zero-zeta-constant", "infinite-core-factor", "zero-core-factor",
-        "negative-core-factor", "unknown-override"])
+        "negative-core-factor", "unknown-override", "float-generator-n", "float-generator-d",
+        "string-generator-seed", "float-width-k", "float-clause-count", "bool-planted-count",
+        "bool-density"])
 def test_malformed_bench_configs_are_usage_errors(runner, tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from fgcount.edgecount import IterationBudgetExceeded
 from fgcount.experiments import (
     ExperimentConfig,
     Outcome,
@@ -19,6 +21,7 @@ from fgcount.experiments import (
 from fgcount.generators import GeneratorSpec
 from fgcount.instances import Problem
 from fgcount.rng import RngStream
+from fgcount.satcount import CapExceeded
 from fgcount.synthetic import random_bipartite
 
 
@@ -88,6 +91,33 @@ def test_cap_exceeded_is_recorded_not_raised():
 def test_no_estimate_recorded():
     records = run_trials(lambda rng, stats: None, 2, RngStream(2))
     assert all(r.outcome is Outcome.NO_ESTIMATE for r in records)
+
+
+def test_csv_cells_are_str_of_the_value():
+    # a numpy integer estimate is written as a number, not as its repr
+    records = run_trials(lambda rng, stats: np.int64(5), 1, RngStream(2), exact=4)
+    row = strip_timing(records_to_csv(records)).splitlines()[2].split(",")
+    assert row[2:6] == ["OK", "5", "4", "0.25"]
+
+
+def test_failed_rows_leave_the_estimate_cells_empty():
+    def raising(exc):
+        def counter(rng, stats):
+            raise exc
+        return counter
+
+    counters = {
+        "NO_ESTIMATE": lambda rng, stats: None,
+        "BUDGET_EXCEEDED": raising(IterationBudgetExceeded("forced")),
+        "CAP_EXCEEDED": raising(CapExceeded("forced")),
+    }
+    for outcome, counter in counters.items():
+        text = records_to_csv(run_trials(counter, 1, RngStream(2)))
+        header, row = (line.split(",") for line in text.splitlines()[1:])
+        cells = dict(zip(header, row))
+        assert cells["outcome"] == outcome
+        assert [cells[k] for k in ("estimate", "exact", "rel_error")] == ["", "", ""]
+        assert cells["independence_calls"] == "0"
 
 
 def test_bipartite_counter_runs_and_counts_queries():

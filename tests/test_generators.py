@@ -119,3 +119,30 @@ def test_spec_validation():
 def test_spec_rejects_out_of_range_fields_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         GeneratorSpec(problem=Problem.CNF, n=5, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("problem", "ov"),
+    ("n", 10.5),
+    ("seed", "x"),
+    ("planted_count", True),
+    ("d", 3.5),
+    ("density", "x"),
+    ("density", True),
+    ("value_bound", 2.0),
+    ("clause_count", 2.5),
+    ("width_k", 2.5),
+    ("parts", (2, 3)),
+    ("parts", (-1, 3, 3)),
+    ("parts", (1.0, 2, 2)),
+    ("parts", [1, 2, 2]),
+])
+def test_spec_rejects_mistyped_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        GeneratorSpec(**{"problem": Problem.NWT, "n": 5, field: value})
+
+
+def test_spec_takes_numpy_integers():
+    spec = GeneratorSpec(problem=Problem.OV, n=np.int64(10), d=np.int32(4), seed=3)
+    plain = GeneratorSpec(problem=Problem.OV, n=10, d=4, seed=3)
+    assert dumps_instance(generate(spec)) == dumps_instance(generate(plain))

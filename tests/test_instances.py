@@ -36,6 +36,13 @@ def test_ov_json_round_trip():
     np.testing.assert_array_equal(back.b, inst.b)
 
 
+def test_ov_without_vectors_keeps_its_dimension():
+    text = '{"type": "ov", "d": 5, "A": [], "B": []}\n'
+    back = loads_instance(text)
+    assert back.d == 5 and back.n == 0
+    assert dumps_instance(back) == text
+
+
 def test_nwt_json_round_trip():
     inst = NwtInstance.from_edges(([0], [1], [2]), [(0, 1, -5), (1, 2, 3)], n_vertices=3)
     back = loads_instance(dumps_instance(inst))
