@@ -7,21 +7,24 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
 * an adjacency query: is a specific (left, right) pair an edge?
   (stands in for verifying one candidate witness).
 
-``BipartiteOracles`` is built from exactly two callables, one per kind of
-query: ``independence(right)``, which receives a right set once and returns
-the predicate ``left -> bool`` that answers queries against it, and
+``BipartiteOracles`` is built from one callable per kind of query, plus an
+optional shortcut: ``independence(right)``, which receives a right set once
+and returns the predicate ``left -> bool`` that answers queries against it;
 ``adjacency(left, right)``, which returns, for each entry of ``right``, its
-number of neighbours in one chunk of left rows.  Those are the two things
-the estimator consumes: it asks many independence queries against one
-right set X with a changing left window, so it binds X once
-(``bind_right``) and each query sorts and checks only its window; and it
-reads edges only as sums (edge masses, degrees into a sample), so an
-adjacency backend answers in sums.  It only ever sees one chunk of at most
-``_block_rows(len(right))`` left rows: at most 255 left rows, so that
-``matrix_oracles`` can add a chunk's rows summed in uint8.  Single pairs,
-rows and blocks are assembled from one-row calls, where a count is 0 or 1.
-Each probed pair counts as one adjacency query, so the batching is purely
-an evaluation detail.  The object checks every index against the side
+number of neighbours in one chunk of left rows; and, optionally,
+``edges(left, right)``, which returns the number of edge pairs in
+left x right.  Those are the things the estimator consumes: it asks many
+independence queries against one right set X with a changing left window,
+so it binds X once (``bind_right``) and each query sorts and checks only
+its window; and it reads edges only as sums (edge masses, degrees into a
+sample), so an adjacency backend answers in sums.  It only ever sees one
+chunk of at most ``_block_rows(len(right))`` left rows: at most 255 left
+rows, so that ``matrix_oracles`` can add a chunk's rows summed in uint8.
+An edge total goes to ``edges`` in one call when the backend has it, and
+is otherwise summed from the chunks.  Single pairs, rows and blocks are
+assembled from one-row calls, where a count is 0 or 1.  Each probed pair
+counts as one adjacency query, so the batching is purely an evaluation
+detail.  The object checks every index against the side
 sizes and keeps the per-object query counters.  Vertex subsets are passed as integer index
 arrays per side; the contract is on set contents, not order.
 """
@@ -111,11 +114,15 @@ class BipartiteOracles:
     which runs once per ``bind_right``.  ``adjacency`` receives one chunk of
     at most ``_block_rows(len(right))`` left indices and the right indices,
     and returns one integer per entry of ``right``: its number of
-    neighbours in the chunk.  ``neighbor_counts`` and
-    ``count_edges_incident`` sum those answers chunk by chunk; the
-    single-pair, single-row and block entry points are built from one-row
-    calls, whose counts are 0/1.  Every probed pair counts as one adjacency
-    query, and all indices are checked against the side sizes first.
+    neighbours in the chunk.  ``neighbor_counts`` sums those answers chunk
+    by chunk; the single-pair, single-row and block entry points are built
+    from one-row calls, whose counts are 0/1.  The optional ``edges``
+    receives the whole left and right index arrays, repeats and order as
+    given, and returns the number of edge pairs in left x right, a pair
+    listed k times counting k times; ``count_edges_incident`` asks it when
+    given and otherwise sums ``neighbor_counts``.  Every probed pair counts
+    as one adjacency query, and all indices are checked against the side
+    sizes first.
 
     A backend must not hold the object it backs: the cycle would keep the
     object, and whatever its backends hold, alive until cyclic GC.
@@ -131,6 +138,7 @@ class BipartiteOracles:
         right_size: int,
         independence: Callable[[np.ndarray], Callable[[np.ndarray], bool]],
         adjacency: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        edges: Callable[[np.ndarray, np.ndarray], int] | None = None,
     ) -> None:
         if left_size < 0 or right_size < 0:
             raise ValueError("side sizes must be nonnegative")
@@ -138,6 +146,7 @@ class BipartiteOracles:
         self.right_size = int(right_size)
         self._independence = independence
         self._adjacency = adjacency
+        self._edges = edges
         self.independence_calls = 0
         self.adjacency_calls = 0
 
@@ -225,8 +234,15 @@ class BipartiteOracles:
         return counts
 
     def count_edges_incident(self, left, right) -> int:
-        """Exact number of edges between the two index sets (chunked sums)."""
-        return int(self.neighbor_counts(left, right).sum())
+        """Exact number of edges in left x right, with multiplicities.
+
+        Counts as ``len(left) * len(right)`` adjacency queries.  Answered by
+        the ``edges`` backend when the object has one, else by summing
+        ``neighbor_counts``.
+        """
+        if self._edges is None:
+            return int(self.neighbor_counts(left, right).sum())
+        return int(self._edges(*self._counted(left, right)))
 
 
 def _pack_rows(matrix: np.ndarray) -> np.ndarray:
@@ -239,38 +255,58 @@ def _pack_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
-    """Oracle pair backed by an explicit |U| x |V| boolean matrix.
+    """Oracle object backed by an explicit |U| x |V| boolean matrix.
 
-    Used for synthetic graphs and as the ground-truth oracle in tests.
-    Binding a right set X packs it into one bit mask and ANDs it with the
-    packed rows, in row blocks, into one bool per left vertex: does it touch
-    X?  Each independence query is then one gather of its window from that
-    mask.  The adjacency backend takes the chunk's full rows as bytes,
-    summed in uint8 (a chunk has at most 255 left rows, so no sum wraps),
-    and then selects the right entries.
+    Used for synthetic graphs and as the ground-truth oracle in tests.  The
+    matrix is packed into one bit per pair (``uint64`` rows, 1/8 of the
+    bool matrix) and every answer comes from those words; the object keeps
+    no reference to ``adjacency``, so the caller may drop it.  A right set
+    becomes a bit mask.  Binding X ORs each block of rows ANDed with X's
+    mask into one bool per left vertex: does it touch X?  Each independence
+    query is then one gather of its window from that mask.  The adjacency
+    backend unpacks a chunk's rows and sums them in uint8 (a chunk has at
+    most 255 left rows, so no sum wraps), then selects the right entries.
+    ``edges`` ANDs each block of left rows with the mask and adds up the
+    set bits; right entries listed m times are masked together and their
+    count weighted by m, so a duplicate-free right set takes one pass.
     """
-    adj = np.ascontiguousarray(np.asarray(adjacency, dtype=bool))
+    adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2:
         raise ValueError("adjacency must be a 2-D boolean matrix")
     left_size, right_size = adj.shape
-    row_bytes = adj.view(np.uint8)
     packed = _pack_rows(adj)
     words = packed.shape[1]
     rows = _block_rows(words)
 
+    def mask(right: np.ndarray) -> np.ndarray:
+        bits = np.zeros(words * 64, dtype=bool)
+        bits[right] = True
+        return np.packbits(bits, bitorder="little").view(np.uint64)
+
     def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
-        mask = np.zeros(words * 64, dtype=bool)
-        mask[right] = True
-        rmask = np.packbits(mask, bitorder="little").view(np.uint64)
+        rmask = mask(right)
         touched = np.empty(left_size, dtype=bool)
         for start in range(0, left_size, rows):
-            np.any(packed[start : start + rows] & rmask, axis=1, out=touched[start : start + rows])
+            touched[start : start + rows] = np.bitwise_or.reduce(
+                packed[start : start + rows] & rmask, axis=1
+            )
         return lambda left: not np.count_nonzero(touched[left])
 
     def adjacency(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return row_bytes.take(left, axis=0).sum(axis=0, dtype=np.uint8)[right]
+        bits = np.unpackbits(packed.take(left, axis=0).view(np.uint8), axis=1, bitorder="little")
+        return bits.sum(axis=0, dtype=np.uint8)[right]
 
-    return BipartiteOracles(left_size, right_size, independence, adjacency)
+    def edges(left: np.ndarray, right: np.ndarray) -> int:
+        values, repeats = np.unique(right, return_counts=True)
+        total = 0
+        for m in np.unique(repeats).tolist():
+            rmask = mask(values[repeats == m])
+            for start in range(0, left.size, rows):
+                block = packed.take(left[start : start + rows], axis=0)
+                total += m * int(np.bitwise_count(block & rmask).sum())
+        return total
+
+    return BipartiteOracles(left_size, right_size, independence, adjacency, edges)
 
 
 # --------------------------------------------------------------------------
@@ -310,8 +346,9 @@ def amplified_independence(oracles: BipartiteOracles, target_failure: float) -> 
 
     Binding a right set on the view binds it once on ``oracles``; each
     independence query then fans out into an odd number of queries on
-    ``oracles``, and adjacency is answered by ``oracles.neighbor_counts``,
-    so its counters record the raw decider invocations and probed pairs.
+    ``oracles``, and adjacency is answered by ``oracles.neighbor_counts``
+    and ``oracles.count_edges_incident``, so its counters record the raw
+    decider invocations and probed pairs.
     """
     vote = amplify(oracles.independence_query, target_failure)
 
@@ -320,5 +357,9 @@ def amplified_independence(oracles: BipartiteOracles, target_failure: float) -> 
         return lambda left: vote(left, bound)
 
     return BipartiteOracles(
-        oracles.left_size, oracles.right_size, independence, oracles.neighbor_counts
+        oracles.left_size,
+        oracles.right_size,
+        independence,
+        oracles.neighbor_counts,
+        oracles.count_edges_incident,
     )

@@ -18,6 +18,7 @@ knowing:
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class RngStream:
     stream_label: bytes = b""
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int:  # a numpy integer keys the stream its value keys
+            object.__setattr__(self, "seed", operator.index(self.seed))
         if not isinstance(self.stream_label, bytes):
             object.__setattr__(self, "stream_label", bytes(self.stream_label))
 

@@ -693,3 +693,69 @@ def test_a_dropped_oracle_object_is_freed_without_cyclic_gc(make):
         assert queried() is None
     finally:
         gc.enable()
+
+
+# -- the packed matrix backend ------------------------------------------------
+
+
+def _multiset(gen, size, count, most=3):
+    """``count`` distinct indices below ``size``, each listed 1..``most`` times, shuffled."""
+    distinct = gen.permutation(size)[:count]
+    out = np.repeat(distinct, gen.integers(1, most + 1, size=distinct.size))
+    gen.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_matrix_oracles_match_dense_sums_at_word_boundaries(width):
+    # The packed backend against a dense reference and against a plain
+    # object over the same matrix whose count_edges_incident sums
+    # neighbor_counts; an amplified view of the packed object must count on
+    # its inner object exactly as the plain one counts on itself.
+    gen = np.random.default_rng(width)
+    n_left = 2 * _CHUNK + 30
+    adj = gen.random((n_left, width)) < 0.3
+    assert adj.any() and not adj.all()
+    packed = matrix_oracles(adj)
+    inner = matrix_oracles(adj)
+    amplified = amplified_independence(inner, 0.05)
+    plain = BipartiteOracles(
+        n_left, width,
+        lambda right: lambda left: not adj[np.ix_(left, right)].any(),
+        lambda u, v: adj[np.ix_(u, v)].sum(axis=0),
+    )
+    lefts = [
+        np.empty(0, dtype=np.int64), np.array([n_left - 1]),
+        _multiset(gen, n_left, n_left // 2), np.repeat(np.arange(n_left), 3),
+    ]
+    rights = [
+        np.empty(0, dtype=np.int64), np.array([width - 1]), gen.permutation(width),
+        _multiset(gen, width, width), np.repeat(gen.permutation(width)[: (width + 1) // 2], 2),
+    ]
+    pairs = 0
+    for left in lefts:
+        for right in rights:
+            expected = adj[np.ix_(left, right)]
+            for oracles in (packed, amplified, plain):
+                counts = oracles.neighbor_counts(left, right)
+                assert counts.dtype == np.int64
+                np.testing.assert_array_equal(counts, expected.sum(axis=0))
+                total = oracles.count_edges_incident(left, right)
+                assert type(total) is int and total == int(expected.sum())
+                assert oracles.independence_query(left, right) == (not expected.any())
+            pairs += 2 * left.size * right.size
+    for oracles in (packed, amplified, inner, plain):
+        assert oracles.adjacency_calls == pairs
+    calls = len(lefts) * len(rights)
+    assert packed.independence_calls == amplified.independence_calls == plain.independence_calls == calls
+    assert inner.independence_calls == calls * repetitions_for(0.05)
+
+
+def test_matrix_oracles_keep_no_reference_to_the_matrix():
+    adj = np.random.default_rng(96).random((200, 70)) < 0.1
+    expected = int(adj.sum())
+    given = weakref.ref(adj)
+    oracles = matrix_oracles(adj)
+    del adj
+    assert given() is None
+    assert oracles.count_edges_incident(np.arange(200), np.arange(70)) == expected

@@ -1,5 +1,10 @@
 """Determinism and independence of the labeled stream derivation."""
 
+import numpy as np
+import pytest
+
+from fgcount.generators import GeneratorSpec, generate
+from fgcount.instances import Problem, dumps_instance
 from fgcount.rng import RngStream, derive_stream
 
 
@@ -56,3 +61,23 @@ def test_streams_feed_numpy_generators():
     x = gen.random(1000)
     assert 0.0 <= x.min() and x.max() <= 1.0
     assert abs(x.mean() - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3), np.int32(3), np.int64(-3)])
+def test_numpy_integer_seed_is_the_stream_of_its_value(seed):
+    stream = derive_stream(RngStream(seed, b"x"), "y")
+    plain = derive_stream(RngStream(int(seed), b"x"), "y")
+    assert type(stream.seed) is int and stream == plain
+    assert stream.bytes(32) == plain.bytes(32)
+    assert stream.fingerprint() == plain.fingerprint()
+
+
+def test_non_integer_seed_is_rejected():
+    with pytest.raises(TypeError):
+        RngStream(3.0)
+
+
+def test_generate_takes_a_numpy_integer_seed():
+    spec = GeneratorSpec(problem=Problem.OV, n=10, d=4, seed=np.uint64(3))
+    plain = GeneratorSpec(problem=Problem.OV, n=10, d=4, seed=3)
+    assert dumps_instance(generate(spec)) == dumps_instance(generate(plain))
