@@ -24,9 +24,9 @@ An edge total goes to ``edges`` in one call when the backend has it, and
 is otherwise summed from the chunks.  Single pairs, rows and blocks are
 assembled from one-row calls, where a count is 0 or 1.  Each probed pair
 counts as one adjacency query, so the batching is purely an evaluation
-detail.  The object checks every index against the side
-sizes and keeps the per-object query counters.  Vertex subsets are passed as integer index
-arrays per side; the contract is on set contents, not order.
+detail.  The object checks every index against the side sizes and keeps
+the per-object query counters.  Vertex subsets are passed as integer
+index arrays per side; the contract is on set contents, not order.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ class RngStream:
     stream_label: bytes = b""
 
     def __post_init__(self) -> None:
-        if type(self.seed) is not int:  # a numpy integer keys the stream its value keys
+        if type(self.seed) is not int:  # a numpy integer keys the same stream as its value
             object.__setattr__(self, "seed", operator.index(self.seed))
         if not isinstance(self.stream_label, bytes):
             object.__setattr__(self, "stream_label", bytes(self.stream_label))
