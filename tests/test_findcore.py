@@ -8,6 +8,7 @@ import pytest
 from fgcount.edgecount import _is_unbalancer, find_core, halve
 from fgcount.oracles import BipartiteOracles, matrix_oracles
 from fgcount.rng import RngStream, derive_stream
+from fgcount.synthetic import random_bipartite
 
 
 def fcc(xi, n):
@@ -280,6 +281,88 @@ def test_queries_skip_located_and_certified_vertices(density, xi, x_size):
         assert out == int(adj[:, X].sum())
         nonisolated = np.flatnonzero(adj[:, X].any(axis=1))
         assert sorted(recorder.located) == nonisolated.tolist()
+
+
+def reference_scan(adj, X, order, fcc):
+    """The windows a plain gallop-then-bisect scan of ``order`` asks, in order.
+
+    Each search starts at the position ``lo`` after the last vertex found
+    and looks for the largest k with order[lo:k] isolated from X: it probes
+    k = lo+1, lo+3, lo+7, ... while the window stays empty, then bisects
+    between the last empty window and the first non-empty one.  Returns the
+    windows and the most doublings any one search made.
+    """
+    touches = adj[:, X].any(axis=1)
+    t = order.size
+    windows = []
+
+    def empty(lo, k):
+        windows.append(order[lo:k].tolist())
+        return not touches[order[lo:k]].any()
+
+    found, lo, most_doublings = 0, 0, 0
+    while found < fcc and lo < t:
+        k, step = lo, 1
+        while k + step <= t and empty(lo, k + step):
+            k += step
+            step *= 2
+        most_doublings = max(most_doublings, step.bit_length() - 1)
+        upper = min(k + step, t + 1)
+        while upper - k > 1:
+            mid = (k + upper) // 2
+            if empty(lo, mid):
+                k = mid
+            else:
+                upper = mid
+        if k == t:
+            break
+        found += 1
+        lo = k + 1
+    return windows, most_doublings
+
+
+def record_windows(oracles):
+    """Record the left window of every independence query on ``oracles``."""
+    windows = []
+    inner = oracles.independence_query
+
+    def recorded(left, right):
+        windows.append(np.asarray(left).tolist())
+        return inner(left, right)
+
+    oracles.independence_query = recorded
+    return windows
+
+
+@pytest.mark.parametrize(
+    "left, right, density, x_size, xi, seed, outcome",
+    [
+        (4096, 256, 0.0004, 256, 0.9, 3, "core"),  # sparse X
+        (1024, 1024, 0.001, 200, 0.5, 8, "exhausted"),
+        (1, 200, 1.0, 200, 0.5, 1, "exhausted"),  # the one left vertex is hit
+        (1, 200, 0.0, 200, 0.5, 1, "exhausted"),  # ... or certified isolated
+    ],
+    ids=["sparse-x", "exhausts", "one-left-hit", "one-left-isolated"],
+)
+def test_scan_asks_the_windows_of_a_plain_gallop_then_bisect(
+    left, right, density, x_size, xi, seed, outcome
+):
+    adj = random_bipartite(left, right, density, RngStream(seed, b"graph"))
+    X = np.arange(x_size)
+    oracles = matrix_oracles(adj)
+    windows = record_windows(oracles)
+    out = find_core(oracles, X, xi, RngStream(seed))
+    assert isinstance(out, np.ndarray) == (outcome == "core")
+    if outcome == "exhausted":
+        assert out == int(adj[:, X].sum())
+    order = RngStream(seed).generator().permutation(left)
+    expected, most_doublings = reference_scan(adj, X, order, fcc(xi, left + right))
+    assert windows == expected
+    assert len(windows) == oracles.independence_calls
+    if left > 1:
+        # Searches gallop several doublings and bisect, not just one probe.
+        assert most_doublings >= 3
+        assert any(len(w) & (len(w) + 1) for w in windows)
 
 
 @pytest.mark.parametrize("density, xi, x_size", [(0.01, 0.3, 1024), (0.002, 0.5, 200)])
