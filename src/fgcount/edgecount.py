@@ -16,10 +16,11 @@ quantity 2^t * eb(X) + N tracks e(G) up to the halving noise.  All integer
 bookkeeping is arbitrary precision.
 
 Independence queries are spent only on locating non-isolated left vertices,
-one binary search per vertex found; everything else is adjacency probing.
-Each binary search runs over the window of the random left ordering after
-the last vertex found, so no query repeats a vertex an earlier search has
-located or certified isolated.
+one galloping search per vertex found; everything else is adjacency probing.
+Each search runs over the window of the random left ordering after the last
+vertex found, so no query repeats a vertex an earlier search has located or
+certified isolated, and a vertex right after the last one found costs a
+single query.
 """
 
 from __future__ import annotations
@@ -73,32 +74,6 @@ def halve(X, rng: RngStream) -> np.ndarray:
     return X[keep]
 
 
-def _gallop_max_true(
-    predicate: Callable[[int], bool], lo: int, hi: int
-) -> int:
-    """Largest k in [lo, hi] with predicate(k) true.
-
-    Requires predicate monotone non-increasing and predicate(lo) known true
-    (lo itself is never probed).  Galloping doubles a step from lo and then
-    binary-refines, so a result near lo costs O(1) probes; this is what
-    keeps the total independence-query bill near one probe per located
-    vertex when non-isolated vertices are dense in the random order.
-    """
-    k = lo
-    step = 1
-    while k + step <= hi and predicate(k + step):
-        k += step
-        step <<= 1
-    upper = min(k + step, hi + 1)  # predicate(upper) false, or upper == hi+1
-    while upper - k > 1:
-        mid = (k + upper) // 2
-        if predicate(mid):
-            k = mid
-        else:
-            upper = mid
-    return k
-
-
 def find_core(
     oracles: BipartiteOracles,
     X,
@@ -116,16 +91,20 @@ def find_core(
     (they form a uniform sample Y of U_X) or the ordering is exhausted
     (U_X itself was smaller than fcc, so again count exactly).  For small
     xi, fcc can vastly exceed the left side, and then core finding always
-    degenerates to exact counting.  Each binary search runs over the window
-    after the last vertex found: everything before it is located or
-    certified isolated from X, so its queries are order[lo:k] against X for
-    the window start lo.  X is bound once before the scan
-    (``BipartiteOracles.bind_right``): the backend prepares it once, and
-    each query sorts and checks only its window.  In the sampled case, the
-    returned int64 index array S (a xi-core with probability >= 1 - 3/n)
-    collects the right vertices adjacent to at least xi*fcc/2 members of Y:
-    every vertex of degree >= xi |U_X| and nothing of degree below
-    xi |U_X| / 24.  X is checked as ``halve`` checks it.
+    degenerates to exact counting.  Each search runs over the window after
+    the last vertex found: everything before it is located or certified
+    isolated from X, so its queries are order[lo:k] against X for the
+    window start lo.  Its first query asks about order[lo] alone, so a hit
+    right after the last vertex found costs one query; past an isolated
+    order[lo] it gallops k = lo+1, lo+3, lo+7, ... and bisects the last
+    step, O(log d) queries for a hit d positions past lo.  X is bound once
+    before the scan (``BipartiteOracles.bind_right``): the backend prepares
+    it once, and each query sorts and checks only its window.  In the
+    sampled case, the returned int64 index array S (a xi-core with
+    probability >= 1 - 3/n) collects the right vertices adjacent to at
+    least xi*fcc/2 members of Y: every vertex of degree >= xi |U_X| and
+    nothing of degree below xi |U_X| / 24.  X is checked as ``halve``
+    checks it.
     """
     X = _as_index_array(X)
     if X.size == 0:
@@ -148,21 +127,32 @@ def find_core(
     t = order.size
 
     # Every vertex before ``lo`` is located or certified isolated from X, so
-    # each search only queries the window order[lo:k]; order[lo:lo] is empty.
-    # ``window_is_empty`` reads ``lo`` when called, so one closure serves the
-    # whole pass.
+    # each search asks only about windows order[lo:k].  It finds the largest
+    # k with order[lo:k] isolated: a first query that finds order[lo] not
+    # isolated settles k = lo; otherwise it gallops k = lo+1, lo+3, lo+7, ...
+    # while the window stays isolated, then bisects the last step.  ``query``
+    # is looked up on the instance, so a wrapper set there sees every query.
     bound_X = oracles.bind_right(X)
     query = oracles.independence_query
-
-    def window_is_empty(k: int) -> bool:
-        return query(order[lo:k], bound_X)
 
     hit_positions: list[int] = []
     lo = 0
     while len(hit_positions) < fcc and lo < t:
-        k = _gallop_max_true(window_is_empty, lo, t)
-        if k == t:
-            break
+        k = lo
+        if query(order[lo : lo + 1], bound_X):
+            k, step = lo + 1, 2
+            while k + step <= t and query(order[lo : k + step], bound_X):
+                k += step
+                step <<= 1
+            upper = min(k + step, t + 1)  # order[lo:upper] touches X, or upper == t+1
+            while upper - k > 1:
+                mid = (k + upper) // 2
+                if query(order[lo:mid], bound_X):
+                    k = mid
+                else:
+                    upper = mid
+            if k == t:
+                break
         hit_positions.append(k)
         lo = k + 1
     exhausted = len(hit_positions) < fcc

@@ -519,6 +519,30 @@ def test_loop_regime_run_is_pinned():
     assert st.iterations == 3
 
 
+def test_instance_wrapper_sees_every_independence_query():
+    # A tracer replaces ``independence_query`` on one oracle object; over a
+    # whole run that removes and halves, the wrapper must see exactly the
+    # queries the object counts.
+    left, right = 16_000, 4_000
+    n = left + right
+    eps = 0.25
+    config = EdgeCountConfig(zeta_constant=eps**2 / (0.9 * math.log(n) ** 3))
+    adj = random_bipartite(left, right, 0.01, RngStream(42))
+    oracles = matrix_oracles(adj)
+    seen = [0]
+    inner = oracles.independence_query
+
+    def counting(left, right):
+        seen[0] += 1
+        return inner(left, right)
+
+    oracles.independence_query = counting
+    st = EdgeCountStats()
+    edge_count(oracles, eps, RngStream(43), config=config, stats=st)
+    assert st.removals >= 1 and st.halvings >= 1
+    assert seen[0] == oracles.independence_calls == 26_322
+
+
 def test_real_loop_halving_regime():
     # Lower density keeps every vertex below the core threshold, so the
     # first pass certifies balance and the loop halves until the thin-side
