@@ -179,10 +179,10 @@ class BipartiteOracles:
 
         A query against a bound value with a 1-D int64 ndarray window (what
         ``find_core`` passes) costs one copy, one in-place sort, a check of
-        the two ends, the counter and the predicate: about 1 µs before the
-        predicate on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), where
-        ``matrix_oracles``' predicate adds about 0.5 µs.  Other inputs are
-        checked and converted first.
+        the two ends, the counter and the predicate: about 0.7 µs before the
+        predicate for a one-vertex window on a 2-vCPU Xeon VM (Python 3.11,
+        numpy 2.4), where ``matrix_oracles``' predicate adds about 0.5 µs.
+        Other inputs are checked and converted first.
         """
         if not (isinstance(right, _BoundRight) and right.owner is self):
             right = self.bind_right(right)
