@@ -85,7 +85,7 @@ def find_core(
     """Exact count eb(X) as an ``int`` for thin instances, else a candidate core.
 
     If |X| < 24 ln n the incident edges are enumerated outright.  Otherwise
-    a uniformly random ordering of the left side is scanned with binary
+    a uniformly random ordering of the left side is scanned with galloping
     search over the independence oracle, peeling off non-isolated vertices
     one at a time until either fcc = ceil(24 ln n / xi) of them are found
     (they form a uniform sample Y of U_X) or the ordering is exhausted
@@ -127,11 +127,9 @@ def find_core(
     t = order.size
 
     # Every vertex before ``lo`` is located or certified isolated from X, so
-    # each search asks only about windows order[lo:k].  It finds the largest
-    # k with order[lo:k] isolated: a first query that finds order[lo] not
-    # isolated settles k = lo; otherwise it gallops k = lo+1, lo+3, lo+7, ...
-    # while the window stays isolated, then bisects the last step.  ``query``
-    # is looked up on the instance, so a wrapper set there sees every query.
+    # each search asks only about windows order[lo:k], for the largest k with
+    # order[lo:k] isolated.  ``query`` is looked up on the instance, so a
+    # wrapper set there sees every query.
     bound_X = oracles.bind_right(X)
     query = oracles.independence_query
 
