@@ -7,26 +7,14 @@ A hidden graph G = (U, V, E) is exposed only through two predicates:
 * an adjacency query: is a specific (left, right) pair an edge?
   (stands in for verifying one candidate witness).
 
-``BipartiteOracles`` is built from one callable per kind of query, plus an
-optional shortcut: ``independence(right)``, which receives a right set once
-and returns the predicate ``left -> bool`` that answers queries against it;
-``adjacency(left, right)``, which returns, for each entry of ``right``, its
-number of neighbours in one chunk of left rows; and, optionally,
-``edges(left, right)``, which returns the number of edge pairs in
-left x right.  Those are the things the estimator consumes: it asks many
-independence queries against one right set X with a changing left window,
-so it binds X once (``bind_right``) and each query sorts and checks only
-its window; and it reads edges only as sums (edge masses, degrees into a
-sample), so an adjacency backend answers in sums.  It only ever sees one
-chunk of at most ``_block_rows(len(right))`` left rows: at most 255 left
-rows, so that ``matrix_oracles`` can add a chunk's rows summed in uint8.
-An edge total goes to ``edges`` in one call when the backend has it, and
-is otherwise summed from the chunks.  Single pairs, rows and blocks are
-assembled from one-row calls, where a count is 0 or 1.  Each probed pair
-counts as one adjacency query, so the batching is purely an evaluation
-detail.  The object checks every index against the side sizes and keeps
-the per-object query counters.  Vertex subsets are passed as integer
-index arrays per side; the contract is on set contents, not order.
+``BipartiteOracles`` serves both from backend callables shaped by what the
+estimator consumes: many independence queries against one bound right set,
+and edges only as sums.  The object checks, counts and forwards: it checks
+every index against the side sizes, counts each probed pair as one
+adjacency query, and hands a backend the whole checked arrays in one call,
+an empty left included.  ``matrix_oracles`` and the reduction kernels block
+their own work under ``_block_rows``.  Vertex subsets are integer index
+arrays per side; the contract is on set contents, not order.
 """
 
 from __future__ import annotations
@@ -46,10 +34,10 @@ __all__ = [
 ]
 
 
-# A backend is handed at most _CHUNK rows at a time and, for wide rows, about
-# _BLOCK_PAIRS entries: together they bound every temporary a block makes.
-# matrix_oracles sums a chunk's 0/1 rows in uint8, which is exact only while
-# a chunk holds at most 255 rows.
+# BipartiteOracles checks, counts and forwards whole arrays, an empty left
+# included; matrix_oracles and the reduction kernels block their own work in
+# at most _CHUNK rows of about _BLOCK_PAIRS entries, which bounds every
+# temporary and keeps matrix_oracles' uint8 sum of a block's rows exact.
 _CHUNK = 255
 _BLOCK_PAIRS = 1 << 19
 
@@ -111,18 +99,18 @@ class BipartiteOracles:
     the predicate receives a sorted int array of left indices and must
     return True iff no edge of the hidden graph joins the two sets.  Any
     per-right-set work (a mask, a slice) belongs in ``independence`` itself,
-    which runs once per ``bind_right``.  ``adjacency`` receives one chunk of
-    at most ``_block_rows(len(right))`` left indices and the right indices,
-    and returns one integer per entry of ``right``: its number of
-    neighbours in the chunk.  ``neighbor_counts`` sums those answers chunk
-    by chunk; the single-pair, single-row and block entry points are built
-    from one-row calls, whose counts are 0/1.  The optional ``edges``
-    receives the whole left and right index arrays, repeats and order as
-    given, and returns the number of edge pairs in left x right, a pair
-    listed k times counting k times; ``count_edges_incident`` asks it when
-    given and otherwise sums ``neighbor_counts``.  Every probed pair counts
-    as one adjacency query, and all indices are checked against the side
-    sizes first.
+    which runs once per ``bind_right``.  ``adjacency`` receives the whole
+    checked left and right index arrays, repeats and order as given, the
+    left possibly empty, and returns one integer per entry of ``right``: its
+    number of neighbours in left; the optional ``edges`` receives the same
+    arrays and returns the number of edge pairs in left x right, repeats
+    counting with multiplicity.  The object checks, counts and forwards:
+    every index against the side sizes, every probed pair as one adjacency
+    query, and one backend call per ``neighbor_counts`` or
+    ``count_edges_incident`` (``edges`` when given, else summed
+    ``neighbor_counts``); single pairs, rows and blocks come from one-row
+    calls.  A backend blocks its own work if it must, as ``matrix_oracles``
+    and the reduction kernels do under ``_block_rows``.
 
     A backend must not hold the object it backs: the cycle would keep the
     object, and whatever its backends hold, alive until cyclic GC.
@@ -201,12 +189,19 @@ class BipartiteOracles:
         self.adjacency_calls += int(left.size) * int(right.size)
         return left, right
 
+    def _answer(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The backend's counts for checked arrays; ValueError unless one per right entry."""
+        counts = np.asarray(self._adjacency(left, right))
+        if counts.shape != right.shape:
+            raise ValueError(f"adjacency answered shape {counts.shape}, not {right.shape}")
+        return counts
+
     def _block(self, left, right) -> np.ndarray:
         """The checked, counted block behind all three adjacency entry points."""
         left, right = self._counted(left, right)
         out = np.empty((left.size, right.size), dtype=bool)
         for i in range(left.size):
-            out[i] = self._adjacency(left[i : i + 1], right)
+            out[i] = self._answer(left[i : i + 1], right)
         return out
 
     def adjacency_query(self, u: int, v: int) -> bool:
@@ -225,13 +220,10 @@ class BipartiteOracles:
         return self._block(left, right)
 
     def neighbor_counts(self, left, right) -> np.ndarray:
-        """Neighbours in ``left`` of each vertex of ``right`` (int64), summed per chunk."""
-        left, right = self._counted(left, right)
-        counts = np.zeros(right.size, dtype=np.int64)
-        step = _block_rows(right.size)
-        for start in range(0, left.size, step):
-            counts += self._adjacency(left[start : start + step], right)
-        return counts
+        """Neighbours in ``left`` of each vertex of ``right`` (int64): both sides
+        checked, counted and forwarded whole, an empty left too, in one backend
+        call (``matrix_oracles`` and the kernels block under ``_block_rows``)."""
+        return self._answer(*self._counted(left, right)).astype(np.int64)
 
     def count_edges_incident(self, left, right) -> int:
         """Exact number of edges in left x right, with multiplicities.
@@ -263,9 +255,10 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     no reference to ``adjacency``, so the caller may drop it.  A right set
     becomes a bit mask.  Binding X ORs each block of rows ANDed with X's
     mask into one bool per left vertex: does it touch X?  Each independence
-    query is then one gather of its window from that mask.  The adjacency
-    backend unpacks a chunk's rows and sums them in uint8 (a chunk has at
-    most 255 left rows, so no sum wraps), then selects the right entries.
+    query is then one gather of its window from that mask.  The object
+    forwards whole arrays (an empty left too) and adjacency blocks them
+    under ``_block_rows``: at most 255 rows summed in uint8, so no sum
+    wraps, added into int64 column counts from which ``right`` is gathered.
     ``edges`` ANDs each block of left rows with the mask and adds up the
     set bits; right entries listed m times are masked together and their
     count weighted by m, so a duplicate-free right set takes one pass.
@@ -293,8 +286,11 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
         return lambda left: not np.count_nonzero(touched[left])
 
     def adjacency(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        bits = np.unpackbits(packed.take(left, axis=0).view(np.uint8), axis=1, bitorder="little")
-        return bits.sum(axis=0, dtype=np.uint8)[right]
+        counts = np.zeros(words * 64, dtype=np.int64)
+        for start in range(0, left.size, rows):
+            block = packed.take(left[start : start + rows], axis=0).view(np.uint8)
+            counts += np.unpackbits(block, axis=1, bitorder="little").sum(axis=0, dtype=np.uint8)
+        return counts[right]
 
     def edges(left: np.ndarray, right: np.ndarray) -> int:
         values, repeats = np.unique(right, return_counts=True)

@@ -275,9 +275,10 @@ class _Witnesses:
     multiplicity of a + b in C for 3SUM.  It runs on data the instance
     already holds, so the decider, the exact counter, adjacency and the
     built-in independence query are all this one test, run on blocks of
-    left rows sized by ``oracles._block_rows``.  Adjacency answers in
-    neighbour counts, so it counts a block's nonzero entries per column:
-    a pair with any multiplicity is one edge.
+    left rows sized by ``oracles._block_rows``.  The oracle object checks,
+    counts and forwards whole arrays, an empty left included; adjacency adds
+    up each block's nonzero entries per column, so a pair with any
+    multiplicity is one edge.
 
     ``restrict(right)`` does a bound right set's share of a sub-instance
     once per bind and returns ``left -> sub-instance``: a plain, checked
@@ -308,19 +309,21 @@ class _Witnesses:
         return sum(int(block.sum()) for block in self._blocks(*self._all()))
 
     def oracles(self, decision: Optional[Callable[[object], bool]] = None) -> BipartiteOracles:
-        """Oracle pair whose adjacency counts the kernel's nonzero entries
-        per right column.  Independence runs the kernel too, or, given a
-        ``decision`` procedure, asks it about the restricted sub-instance."""
+        """Oracle pair on the kernel; given a ``decision`` procedure,
+        independence asks it about the restricted sub-instance instead."""
         def independence(right: np.ndarray) -> Callable[[np.ndarray], bool]:
             if decision is None:
                 return lambda left: not self.has_witness(left, right)
             build = self.restrict(right)
             return lambda left: not decision(build(left))
 
-        return BipartiteOracles(
-            self.left_size, self.right_size, independence,
-            lambda left, right: np.count_nonzero(self.kernel(left, right), axis=0),
-        )
+        def adjacency(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            counts = np.zeros(right.size, dtype=np.int64)
+            for block in self._blocks(left, right):
+                counts += np.count_nonzero(block, axis=0)
+            return counts
+
+        return BipartiteOracles(self.left_size, self.right_size, independence, adjacency)
 
 
 # --------------------------------------------------------------------------

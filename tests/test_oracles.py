@@ -267,29 +267,62 @@ def test_chunked_adjacency_block_matches_fancy_indexing(n_left, n_right):
     assert oracles.adjacency_calls == 3 * n_left * n_right
 
 
-def test_backend_sees_one_block_at_a_time():
-    # A right side past 2^19 / _CHUNK entries lowers the row cap below
-    # _CHUNK; every entry point hands the backend blocks within the cap, and
-    # the pairs it sees add up to the adjacency counter.
+def test_backend_sees_the_whole_arrays_in_one_call():
+    # neighbor_counts, and count_edges_incident without an edges backend,
+    # each hand the backend the checked arrays in one call: the caller's
+    # order, repeats kept, an empty left too.  The single-pair, row and block
+    # entry points make one-row calls.  The pairs the backend sees add up to
+    # the adjacency counter.
     gen = np.random.default_rng(31)
     adj = gen.random((700, 3000)) < 0.01
     seen = []
 
     def backend(left, right):
-        seen.append((left.size, right.size))
+        seen.append((left.copy(), right.copy()))
         return adj[np.ix_(left, right)].sum(axis=0)
 
     oracles = BipartiteOracles(700, 3000, lambda right: lambda left: True, backend)
-    left, right = np.arange(700), np.arange(3000)
-    assert _block_rows(right.size) < _CHUNK
-    np.testing.assert_array_equal(oracles.adjacency_block(left, right), adj)
-    np.testing.assert_array_equal(oracles.neighbor_counts(left, right), adj.sum(axis=0))
-    assert oracles.count_edges_incident(left[:300], right[:40]) == int(adj[:300, :40].sum())
+    left = gen.integers(0, 700, size=900)  # unsorted, with repeats
+    right = gen.integers(0, 3000, size=3000)
+    assert left.size > _block_rows(right.size)  # more rows than one block: none split off
+    calls = [
+        (oracles.neighbor_counts, left.tolist(), right),
+        (oracles.count_edges_incident, left, right[:40]),
+        (oracles.neighbor_counts, [], right),
+        (oracles.count_edges_incident, left[:0], right[:40]),
+    ]
+    for query, lsel, rsel in calls:
+        before = len(seen)
+        expected = adj[np.ix_(np.asarray(lsel, dtype=np.int64), rsel)]
+        answer = query(lsel, rsel)
+        if query == oracles.neighbor_counts:
+            np.testing.assert_array_equal(answer, expected.sum(axis=0))
+        else:
+            assert answer == int(expected.sum())
+        assert len(seen) == before + 1
+        given_left, given_right = seen[-1]
+        assert given_left.dtype == given_right.dtype == np.int64
+        assert given_left.tolist() == list(lsel) and given_right.tolist() == rsel.tolist()
+    before = len(seen)
+    block = oracles.adjacency_block(left[:50], right)
+    np.testing.assert_array_equal(block, adj[np.ix_(left[:50], right)])
     oracles.adjacency_row(5, right)
     oracles.adjacency_query(6, 7)
-    assert max(rows for rows, cols in seen if cols == right.size) == _block_rows(right.size)
-    assert all(rows <= _block_rows(cols) for rows, cols in seen)
-    assert sum(rows * cols for rows, cols in seen) == oracles.adjacency_calls
+    rows = [given_left.tolist() for given_left, _ in seen[before:]]
+    assert rows == [[u] for u in left[:50].tolist()] + [[5], [6]]
+    assert sum(lsel.size * rsel.size for lsel, rsel in seen) == oracles.adjacency_calls
+
+
+@pytest.mark.parametrize(
+    "answer", [np.array([1]), np.ones((1, 6), dtype=np.int64)], ids=["length-1", "2-d"]
+)
+def test_an_answer_of_the_wrong_shape_is_rejected(answer):
+    # Added into a count vector, a length-1 answer would broadcast to every
+    # right vertex, so neighbor_counts would read 1 for each of them.
+    oracles = BipartiteOracles(4, 6, lambda right: lambda left: True, lambda left, right: answer)
+    for query in (oracles.neighbor_counts, oracles.count_edges_incident, oracles.adjacency_block):
+        with pytest.raises(ValueError):
+            query([0, 1], np.arange(6))
 
 
 def test_uint8_chunk_sums_are_exact_at_the_cap():
@@ -621,7 +654,7 @@ def test_every_adjacency_entry_point_agrees_with_the_dense_matrix(case):
     if case.startswith("3sum"):
         assert np.unique(_3SUM_DUP.c).size < _3SUM_DUP.c.size
     gen = np.random.default_rng(93)
-    wide = 2100  # a chunk this wide holds fewer than _CHUNK rows
+    wide = 2100  # the reduction kernels' own blocks this wide hold fewer than _CHUNK rows
     assert _block_rows(wide) < _CHUNK
     shapes = [
         (0, 0), (0, 5), (5, 0), (_CHUNK + 1, 1), (2 * _CHUNK + 88, 37), (_CHUNK + 44, wide),
