@@ -546,6 +546,41 @@ def test_one_query_path_gives_the_same_verdicts():
     assert oracles.independence_calls == len(received) == len(_ACCEPTED_LEFTS)
 
 
+def test_one_vertex_windows_are_checked_and_copied():
+    # find_core's usual query is a one-element slice of its int64
+    # permutation: it must be bounds-checked and reach the predicate as a
+    # fresh copy, which the predicate may write without touching the slice.
+    adj = np.random.default_rng(97).random((40, 30)) < 0.05
+    right = np.arange(0, 30, 4)
+    received = []
+
+    def independence(bound):
+        def predicate(left):
+            received.append((left.dtype, left.tolist()))
+            answer = not adj[np.ix_(left, bound)].any()
+            left[...] = -1
+            return answer
+
+        return predicate
+
+    oracles = BipartiteOracles(40, 30, independence, lambda u, v: adj[np.ix_(u, v)].sum(axis=0))
+    bound = oracles.bind_right(right)
+    order_before = _ORDER.copy()
+    verdicts = set()
+    for k in range(_ORDER.size):
+        u = int(_ORDER[k])
+        answer = oracles.independence_query(_ORDER[k : k + 1], bound)
+        verdicts.add(answer)
+        assert answer == (not adj[u, right].any()), u
+        assert received[-1] == (np.dtype(np.int64), [u])
+    np.testing.assert_array_equal(_ORDER, order_before)
+    assert verdicts == {True, False}
+    for bad in (np.array([40]), np.array([-1])):
+        with pytest.raises(IndexError):
+            oracles.independence_query(bad, bound)
+    assert oracles.independence_calls == len(received) == _ORDER.size
+
+
 def test_bound_indices_are_a_sorted_read_only_copy():
     seen = []
 
