@@ -165,16 +165,22 @@ class BipartiteOracles:
         array (the query is about set contents; sorting is the canonical
         form, and decision backends may rely on it).
 
-        A query against a bound value with a 1-D int64 ndarray window (what
-        ``find_core`` passes) costs one copy, one in-place sort, a check of
-        the two ends, the counter and the predicate: about 0.7 µs before the
-        predicate for a one-vertex window on a 2-vCPU Xeon VM (Python 3.11,
-        numpy 2.4), where ``matrix_oracles``' predicate adds about 0.5 µs.
-        Other inputs are checked and converted first.
+        A query against a bound value with a one-element native int64
+        window (``find_core``'s usual query) costs one copy, a check of the
+        element against the left size, the counter and the predicate: about
+        0.5–0.6 µs before the predicate on a 2-vCPU Xeon VM (Python 3.11,
+        numpy 2.4), where ``matrix_oracles``' predicate adds about 0.3 µs.  A
+        longer window of that kind is also sorted in place and checked at
+        its two ends; other inputs are checked and converted first.
         """
         if not (isinstance(right, _BoundRight) and right.owner is self):
             right = self.bind_right(right)
-        left = _sorted_indices(left, self.left_size, "left")
+        if type(left) is np.ndarray and left.dtype is _INT64 and left.shape == (1,):
+            left = left.copy()
+            if not 0 <= left.item() < self.left_size:
+                raise IndexError("left index out of range")
+        else:
+            left = _sorted_indices(left, self.left_size, "left")
         self.independence_calls += 1
         return bool(right.predicate(left))
 
@@ -255,7 +261,9 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     no reference to ``adjacency``, so the caller may drop it.  A right set
     becomes a bit mask.  Binding X ORs each block of rows ANDed with X's
     mask into one bool per left vertex: does it touch X?  Each independence
-    query is then one gather of its window from that mask.  The object
+    query is then a gather of its window from that mask and a
+    byte-membership test (is a 1 among the gathered bytes?), a plain
+    ``bytes`` search with no numpy reduction to dispatch.  The object
     forwards whole arrays (an empty left too) and adjacency blocks them
     under ``_block_rows``: at most 255 rows summed in uint8, so no sum
     wraps, added into int64 column counts from which ``right`` is gathered.
@@ -283,7 +291,7 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
             touched[start : start + rows] = np.bitwise_or.reduce(
                 packed[start : start + rows] & rmask, axis=1
             )
-        return lambda left: not np.count_nonzero(touched[left])
+        return lambda left: 1 not in touched[left].tobytes()
 
     def adjacency(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         counts = np.zeros(words * 64, dtype=np.int64)

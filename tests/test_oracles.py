@@ -819,6 +819,29 @@ def test_matrix_oracles_match_dense_sums_at_word_boundaries(width):
     assert inner.independence_calls == calls * repetitions_for(0.05)
 
 
+@pytest.mark.parametrize("width", [1, 7, 64, 65])
+@pytest.mark.parametrize("reach", ["none", "some", "all"])
+def test_matrix_oracles_answer_each_one_vertex_query(width, reach):
+    # The predicate tests the bytes of the gathered left mask for a 1:
+    # every single left vertex against a bound set that touches no left
+    # vertex, some of them, or all of them.
+    gen = np.random.default_rng(width)
+    n_left = 90
+    adj = gen.random((n_left, width)) < 0.02
+    right = gen.permutation(width)[: (width + 1) // 2]
+    reached = {"none": 0, "some": 2 * n_left // 3, "all": n_left}[reach]
+    adj[: n_left - reached, right] = False
+    adj[np.arange(n_left - reached, n_left), gen.choice(right, reached)] = True
+    assert adj[:, right].any(axis=1).sum() == reached
+    oracles = matrix_oracles(adj)
+    bound = oracles.bind_right(right)
+    for u in range(n_left):
+        expected = not adj[u, right].any()
+        assert oracles.independence_query([u], right) == expected
+        assert oracles.independence_query(np.array([u]), bound) == expected
+    assert oracles.independence_calls == 2 * n_left
+
+
 def test_matrix_oracles_keep_no_reference_to_the_matrix():
     adj = np.random.default_rng(96).random((200, 70)) < 0.1
     expected = int(adj.sum())
