@@ -10,6 +10,7 @@ from fgcount.edgecount import (
     EdgeCountStats,
     IterationBudgetExceeded,
     edge_count,
+    find_core,
 )
 from fgcount.oracles import BipartiteOracles, matrix_oracles
 from fgcount.rng import RngStream, derive_stream
@@ -541,6 +542,84 @@ def test_instance_wrapper_sees_every_independence_query():
     edge_count(oracles, eps, RngStream(43), config=config, stats=st)
     assert st.removals >= 1 and st.halvings >= 1
     assert seen[0] == oracles.independence_calls == 26_322
+
+
+def plain_predicate_twin(adj):
+    """``matrix_oracles(adj)`` with its predicate wrapped in a plain function.
+
+    Every answer, probed pair and count is the matrix backend's own, but the
+    oracle object cannot tell the predicate for a touch mask, so it asks a
+    scan's one-vertex queries one at a time.
+    """
+    inner = matrix_oracles(adj)
+
+    def independence(right):
+        predicate = inner._independence(right)
+        return lambda left: predicate(left)
+
+    return BipartiteOracles(*adj.shape, independence, inner._adjacency, inner._edges)
+
+
+def runs_of_hits(adj, X, order):
+    """Length of the longest run of consecutive left vertices of ``order``
+    that touch X, and the share of ``order`` that touches X."""
+    touches = adj[np.ix_(order, X)].any(axis=1)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], touches.astype(np.int8), [0]))))
+    longest = int((edges[1::2] - edges[::2]).max()) if edges.size else 0
+    return longest, float(touches.mean())
+
+
+@pytest.mark.parametrize(
+    "left, right, density, x_size, xi, regime",
+    [
+        (4096, 256, 0.0004, 256, 0.9, "sparse"),  # misses dominate
+        (1024, 1024, 0.001, 200, 0.5, "sparse"),  # exhausts the ordering
+        (2048, 512, 0.05, 512, 0.5, "long-runs"),  # runs of hits past _CHUNK
+        (600, 300, 0.1, 300, 0.1, "long-runs"),  # fcc > |U|: one run to the end
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_find_core_answers_as_a_plain_predicate_backend(
+    left, right, density, x_size, xi, regime, seed
+):
+    adj = random_bipartite(left, right, density, RngStream(seed, b"graph"))
+    X = np.arange(x_size)
+    longest, share = runs_of_hits(adj, X, RngStream(seed).generator().permutation(left))
+    if regime == "sparse":
+        assert share < 0.25
+    else:
+        assert longest > 255
+    results = []
+    for oracles in (matrix_oracles(adj), plain_predicate_twin(adj)):
+        out = find_core(oracles, X, xi, RngStream(seed))
+        out = out.tolist() if isinstance(out, np.ndarray) else out
+        results.append((out, oracles.independence_calls, oracles.adjacency_calls))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "left, right, density, loop",
+    [
+        (16_000, 1_000, 0.01, True),  # removes and halves
+        (16_000, 400, 0.004, True),  # halves; most left vertices miss X
+        (16_000, 2_000, 0.003, True),
+        (2048, 2048, 2**-6, False),  # default constants: first pass exact
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_edge_count_answers_as_a_plain_predicate_backend(left, right, density, loop, seed):
+    n = left + right
+    eps = 0.25
+    config = EdgeCountConfig(zeta_constant=eps**2 / (0.9 * math.log(n) ** 3)) if loop else EdgeCountConfig()
+    adj = random_bipartite(left, right, density, RngStream(42))
+    results = []
+    for oracles in (matrix_oracles(adj), plain_predicate_twin(adj)):
+        st = EdgeCountStats()
+        value = edge_count(oracles, eps, RngStream(seed), config=config, stats=st)
+        results.append((value, oracles.independence_calls, oracles.adjacency_calls, st))
+    assert results[0] == results[1]
+    if loop:
+        assert results[0][3].halvings >= 1
 
 
 def test_real_loop_halving_regime():
