@@ -128,29 +128,35 @@ def find_core(
 
     # Every vertex before ``lo`` is located or certified isolated from X, so
     # each search asks only about windows order[lo:k], for the largest k with
-    # order[lo:k] isolated.  ``query`` is looked up on the instance, so a
-    # wrapper set there sees every query.
+    # order[lo:k] isolated.  The first query of each search, order[lo]
+    # alone, comes from one ``first_isolated`` call per run of hits, whose
+    # window stops where the sample would be full.
     bound_X = oracles.bind_right(X)
     query = oracles.independence_query
+    first_isolated = oracles.first_isolated
 
     hit_positions: list[int] = []
     lo = 0
     while len(hit_positions) < fcc and lo < t:
-        k = lo
-        if query(order[lo : lo + 1], bound_X):
-            k, step = lo + 1, 2
-            while k + step <= t and query(order[lo : k + step], bound_X):
-                k += step
-                step <<= 1
-            upper = min(k + step, t + 1)  # order[lo:upper] touches X, or upper == t+1
-            while upper - k > 1:
-                mid = (k + upper) // 2
-                if query(order[lo:mid], bound_X):
-                    k = mid
-                else:
-                    upper = mid
-            if k == t:
-                break
+        window = order[lo : lo + fcc - len(hit_positions)]
+        j = first_isolated(window, bound_X)
+        hit_positions.extend(range(lo, lo + j))
+        lo += j
+        if j == window.size:
+            continue
+        k, step = lo + 1, 2  # order[lo] is isolated, its query counted
+        while k + step <= t and query(order[lo : k + step], bound_X):
+            k += step
+            step <<= 1
+        upper = min(k + step, t + 1)  # order[lo:upper] touches X, or upper == t+1
+        while upper - k > 1:
+            mid = (k + upper) // 2
+            if query(order[lo:mid], bound_X):
+                k = mid
+            else:
+                upper = mid
+        if k == t:
+            break
         hit_positions.append(k)
         lo = k + 1
     exhausted = len(hit_positions) < fcc

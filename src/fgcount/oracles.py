@@ -91,6 +91,22 @@ class _BoundRight:
     predicate: Callable[[np.ndarray], bool]
 
 
+@dataclass(frozen=True, eq=False)
+class _TouchPredicate:
+    """``matrix_oracles``' predicate for one bound right set.
+
+    ``touched`` holds one bool per left vertex: does it have a neighbour in
+    the set?  A left window is independent iff no gathered byte is 1.
+    ``BipartiteOracles.first_isolated`` reads runs of one-vertex answers
+    from ``touched`` directly.
+    """
+
+    touched: np.ndarray
+
+    def __call__(self, left: np.ndarray) -> bool:
+        return 1 not in self.touched[left].tobytes()
+
+
 class BipartiteOracles:
     """Query access to a hidden bipartite graph, with call counters.
 
@@ -183,6 +199,48 @@ class BipartiteOracles:
             left = _sorted_indices(left, self.left_size, "left")
         self.independence_calls += 1
         return bool(right.predicate(left))
+
+    def first_isolated(self, window, right) -> int:
+        """Position of the first vertex of ``window`` isolated from ``right``.
+
+        Asks the one-vertex queries ``window[0]``, ``window[1]``, ... in
+        order, up to and including the first that answers independent, and
+        counts each as one query; returns ``len(window)``, having asked them
+        all, if every vertex touches ``right``.  ``right`` is bound as
+        ``independence_query`` binds it, and ``window`` is not modified.
+
+        A predicate that ``matrix_oracles`` returned (a ``_TouchPredicate``)
+        is answered in bulk: at most ``_CHUNK`` vertices at a time are
+        bounds-checked, gathered from its touch mask and searched for the
+        first 0 byte, so a long run of hits costs a few numpy calls and a
+        short one no more than one chunk.  Every other predicate is asked
+        one vertex at a time through ``self.independence_query``, so a
+        wrapper set on the instance sees each of those queries; so is a
+        chunk holding an out-of-range entry, which raises ``IndexError``
+        where the per-vertex loop would.
+        """
+        if not (isinstance(right, _BoundRight) and right.owner is self):
+            right = self.bind_right(right)
+        window = _as_index_array(window)
+        size = window.size
+        resume = 0
+        if isinstance(right.predicate, _TouchPredicate):
+            touched = right.predicate.touched
+            for resume in range(0, size, _CHUNK):
+                chunk = window[resume : resume + _CHUNK]
+                if chunk.min() < 0 or chunk.max() >= self.left_size:
+                    break
+                j = touched[chunk].tobytes().find(0)
+                if j >= 0:
+                    self.independence_calls += j + 1
+                    return resume + j
+                self.independence_calls += chunk.size
+            else:
+                return size
+        for j in range(resume, size):
+            if self.independence_query(window[j : j + 1], right):
+                return j
+        return size
 
     def _counted(self, left, right) -> tuple[np.ndarray, np.ndarray]:
         """Both index sets, checked, then counted as |left|·|right| queries."""
@@ -291,7 +349,7 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
             touched[start : start + rows] = np.bitwise_or.reduce(
                 packed[start : start + rows] & rmask, axis=1
             )
-        return lambda left: 1 not in touched[left].tobytes()
+        return _TouchPredicate(touched)
 
     def adjacency(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         counts = np.zeros(words * 64, dtype=np.int64)

@@ -521,9 +521,10 @@ def test_loop_regime_run_is_pinned():
 
 
 def test_instance_wrapper_sees_every_independence_query():
-    # A tracer replaces ``independence_query`` on one oracle object; over a
-    # whole run that removes and halves, the wrapper must see exactly the
-    # queries the object counts.
+    # A tracer replaces ``independence_query`` and ``first_isolated`` on one
+    # oracle object; over a whole run that removes and halves, the wrappers
+    # must see exactly the queries the object counts.  A ``first_isolated``
+    # call that returns j on a window of w vertices asked min(j + 1, w).
     left, right = 16_000, 4_000
     n = left + right
     eps = 0.25
@@ -531,13 +532,19 @@ def test_instance_wrapper_sees_every_independence_query():
     adj = random_bipartite(left, right, 0.01, RngStream(42))
     oracles = matrix_oracles(adj)
     seen = [0]
-    inner = oracles.independence_query
+    query, first_isolated = oracles.independence_query, oracles.first_isolated
 
     def counting(left, right):
         seen[0] += 1
-        return inner(left, right)
+        return query(left, right)
+
+    def counting_run(window, right):
+        j = first_isolated(window, right)
+        seen[0] += min(j + 1, len(window))
+        return j
 
     oracles.independence_query = counting
+    oracles.first_isolated = counting_run
     st = EdgeCountStats()
     edge_count(oracles, eps, RngStream(43), config=config, stats=st)
     assert st.removals >= 1 and st.halvings >= 1

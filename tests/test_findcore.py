@@ -322,15 +322,28 @@ def reference_scan(adj, X, order, fcc):
 
 
 def record_windows(oracles):
-    """Record the left window of every independence query on ``oracles``."""
+    """Record the left window of every independence query on a
+    ``matrix_oracles`` object.
+
+    A ``first_isolated`` call there asks its one-vertex queries in bulk; it
+    is recorded as those windows, [window[0]], [window[1]], ..., up to and
+    including the vertex at the position it returns, if that lies in the
+    window.
+    """
     windows = []
-    inner = oracles.independence_query
+    query, first_isolated = oracles.independence_query, oracles.first_isolated
 
-    def recorded(left, right):
+    def recorded_query(left, right):
         windows.append(np.asarray(left).tolist())
-        return inner(left, right)
+        return query(left, right)
 
-    oracles.independence_query = recorded
+    def recorded_first_isolated(window, right):
+        j = first_isolated(window, right)
+        windows.extend([u] for u in window[: j + 1].tolist())
+        return j
+
+    oracles.independence_query = recorded_query
+    oracles.first_isolated = recorded_first_isolated
     return windows
 
 

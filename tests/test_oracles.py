@@ -644,6 +644,118 @@ def test_amplified_query_prepares_the_inner_object_once_per_outer_bind():
     assert len(prepared) == 2
 
 
+# -- a run of one-vertex queries ---------------------------------------------
+
+# Left vertices 0..699 touch right vertex 0, and 700..799 neither 0 nor 3;
+# every third left vertex touches 2.
+_RUN_ADJ = np.zeros((800, 4), dtype=bool)
+_RUN_ADJ[:700, 0] = True
+_RUN_ADJ[::3, 2] = True
+
+
+def _plain_oracles(adj):
+    """Oracles over ``adj`` whose predicate is a plain function."""
+    return BipartiteOracles(
+        *adj.shape,
+        lambda right: lambda left: not adj[np.ix_(left, right)].any(),
+        lambda u, v: adj[np.ix_(u, v)].sum(axis=0),
+    )
+
+
+_RUN_BACKENDS = {
+    "matrix": matrix_oracles,
+    "plain": _plain_oracles,
+    "amplified": lambda adj: amplified_independence(matrix_oracles(adj), 0.05),
+}
+
+
+def _run_window(length, isolated_at, seed=0):
+    """An int64 window of ``length`` left vertices of ``_RUN_ADJ``: hits up
+    to ``isolated_at``, an isolated vertex there, anything after it."""
+    gen = np.random.default_rng(seed)
+    window = gen.integers(0, 800, size=length)
+    if isolated_at is None:
+        isolated_at = length
+    window[:isolated_at] = gen.integers(0, 700, size=isolated_at)
+    if isolated_at < length:
+        window[isolated_at] = gen.integers(700, 800)
+    return window
+
+
+def _one_by_one(oracles, window, right):
+    """What ``first_isolated`` answers, asked as a loop of one-vertex queries."""
+    for j in range(len(window)):
+        if oracles.independence_query(window[j : j + 1], right):
+            return j
+    return len(window)
+
+
+_RUN_CASES = [(0, None)] + [
+    (length, at)
+    for length in (1, 254, 255, 256, 600)
+    for at in (0, 254, 255, 256, None)
+    if at is None or at < length
+]
+
+
+@pytest.mark.parametrize("backend", list(_RUN_BACKENDS))
+@pytest.mark.parametrize("length, isolated_at", _RUN_CASES)
+def test_first_isolated_answers_and_counts_as_a_query_loop(backend, length, isolated_at):
+    make = _RUN_BACKENDS[backend]
+    window = _run_window(length, isolated_at)
+    before = window.copy()
+    right = [0, 3]
+    bulk, loop = make(_RUN_ADJ), make(_RUN_ADJ)
+    expected = length if isolated_at is None else isolated_at
+    assert bulk.first_isolated(window, bulk.bind_right(right)) == expected
+    assert _one_by_one(loop, window, loop.bind_right(right)) == expected
+    assert bulk.independence_calls == loop.independence_calls == min(expected + 1, length)
+    np.testing.assert_array_equal(window, before)
+    # raw right indices and a list window are bound and checked as a query's are
+    assert bulk.first_isolated(window.tolist(), right) == expected
+
+
+def test_first_isolated_on_the_amplified_view_counts_r_inner_queries_each():
+    inner = matrix_oracles(_RUN_ADJ)
+    wrapped = amplified_independence(inner, 0.05)
+    assert wrapped.first_isolated(_run_window(600, 300), [0]) == 300
+    assert wrapped.independence_calls == 301
+    assert inner.independence_calls == 301 * repetitions_for(0.05)
+
+
+@pytest.mark.parametrize("backend", ["matrix", "plain"])
+@pytest.mark.parametrize("bad", [-1, 800])
+def test_first_isolated_raises_where_the_query_loop_does(backend, bad):
+    # An out-of-range entry in the second chunk raises after the queries
+    # before it are counted; an isolated vertex before it is answered.
+    make = _RUN_BACKENDS[backend]
+    window = _run_window(600, None)
+    window[300] = bad
+    for oracles in (make(_RUN_ADJ), make(_RUN_ADJ)):
+        with pytest.raises(IndexError):
+            oracles.first_isolated(window, [0])
+        with pytest.raises(IndexError):
+            _one_by_one(oracles, window, [0])
+        assert oracles.independence_calls == 2 * 300
+    window[280] = 750
+    bulk, loop = make(_RUN_ADJ), make(_RUN_ADJ)
+    assert bulk.first_isolated(window, [0]) == _one_by_one(loop, window, [0]) == 280
+    assert bulk.independence_calls == loop.independence_calls == 281
+
+
+def test_only_a_touch_mask_is_answered_in_bulk():
+    # matrix_oracles' predicate is the one type first_isolated reads in
+    # bulk; any other predicate is asked through independence_query, where
+    # an instance wrapper sees it.
+    for make, wrapped_calls in ((matrix_oracles, 0), (_plain_oracles, 301)):
+        oracles = make(_RUN_ADJ)
+        seen = []
+        inner = oracles.independence_query
+        oracles.independence_query = lambda left, right: seen.append(left) or inner(left, right)
+        assert oracles.first_isolated(_run_window(600, 300), [0]) == 300
+        assert (len(seen), oracles.independence_calls) == (wrapped_calls, 301)
+
+
 # -- one adjacency protocol ---------------------------------------------------
 
 _GEN_P = np.random.default_rng(92)
