@@ -20,7 +20,8 @@ one galloping search per vertex found; everything else is adjacency probing.
 Each search runs over the window of the random left ordering after the last
 vertex found, so no query repeats a vertex an earlier search has located or
 certified isolated, and a vertex right after the last one found costs a
-single query.
+single query.  A run of such hits at the window starts is asked by one
+``BipartiteOracles.first_isolated`` call and counted one query per vertex.
 """
 
 from __future__ import annotations
@@ -97,9 +98,14 @@ def find_core(
     window start lo.  Its first query asks about order[lo] alone, so a hit
     right after the last vertex found costs one query; past an isolated
     order[lo] it gallops k = lo+1, lo+3, lo+7, ... and bisects the last
-    step, O(log d) queries for a hit d positions past lo.  X is bound once
-    before the scan (``BipartiteOracles.bind_right``): the backend prepares
-    it once, and each query sorts and checks only its window.  In the
+    step, O(log d) queries for a hit d positions past lo.  The first
+    queries of consecutive searches are asked by one
+    ``BipartiteOracles.first_isolated`` call, which runs through the hits
+    up to the first isolated order[lo] and counts one query for each
+    vertex it asked about (``matrix_oracles`` answers such a run from its
+    touch mask in bulk).  X is bound once before the scan
+    (``BipartiteOracles.bind_right``): the backend prepares it once, and
+    each query sorts and checks only its window.  In the
     sampled case, the returned int64 index array S (a xi-core with
     probability >= 1 - 3/n) collects the right vertices adjacent to at
     least xi*fcc/2 members of Y: every vertex of degree >= xi |U_X| and

@@ -128,6 +128,12 @@ class BipartiteOracles:
     calls.  A backend blocks its own work if it must, as ``matrix_oracles``
     and the reduction kernels do under ``_block_rows``.
 
+    ``first_isolated`` asks a run of one-vertex queries and counts each.
+    It answers them in bulk only when the predicate is a ``_TouchPredicate``,
+    the type ``matrix_oracles`` returns, whose touch mask already holds
+    every one-vertex answer; any other predicate is asked one vertex at a
+    time through ``independence_query``.
+
     A backend must not hold the object it backs: the cycle would keep the
     object, and whatever its backends hold, alive until cyclic GC.
 
@@ -182,8 +188,8 @@ class BipartiteOracles:
         form, and decision backends may rely on it).
 
         A query against a bound value with a one-element native int64
-        window (``find_core``'s usual query) costs one copy, a check of the
-        element against the left size, the counter and the predicate: about
+        window costs one copy, a check of the element against the left
+        size, the counter and the predicate: about
         0.5–0.6 µs before the predicate on a 2-vCPU Xeon VM (Python 3.11,
         numpy 2.4), where ``matrix_oracles``' predicate adds about 0.3 µs.  A
         longer window of that kind is also sorted in place and checked at
@@ -318,10 +324,12 @@ def matrix_oracles(adjacency: np.ndarray) -> BipartiteOracles:
     bool matrix) and every answer comes from those words; the object keeps
     no reference to ``adjacency``, so the caller may drop it.  A right set
     becomes a bit mask.  Binding X ORs each block of rows ANDed with X's
-    mask into one bool per left vertex: does it touch X?  Each independence
-    query is then a gather of its window from that mask and a
-    byte-membership test (is a 1 among the gathered bytes?), a plain
-    ``bytes`` search with no numpy reduction to dispatch.  The object
+    mask into one bool per left vertex: does it touch X?  The predicate is
+    a ``_TouchPredicate`` over that mask.  Each independence query is then
+    a gather of its window from the mask and a byte-membership test (is a 1
+    among the gathered bytes?), a plain ``bytes`` search with no numpy
+    reduction to dispatch; ``first_isolated`` reads a run of one-vertex
+    answers from the mask a chunk at a time.  The object
     forwards whole arrays (an empty left too) and adjacency blocks them
     under ``_block_rows``: at most 255 rows summed in uint8, so no sum
     wraps, added into int64 column counts from which ``right`` is gathered.
