@@ -575,6 +575,51 @@ def test_hashing_stage_estimates_within_tolerance():
     assert good >= trials - 2
 
 
+def _binomial_floor(trials: int, p: float, alpha: float) -> int:
+    """The largest k with P(Binomial(trials, p) < k) <= alpha."""
+    below, k = 0.0, 0
+    while below + math.comb(trials, k) * p**k * (1 - p) ** (trials - k) <= alpha:
+        below += math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
+        k += 1
+    return k
+
+
+def test_level_loop_estimates_within_eps_at_levels_two_and_up(monkeypatch):
+    # sat_solve's guarantee -- within (1 +- eps) with probability >= 3/4 --
+    # on the path that returns 2^m times the hashed counts at m >= 2.
+    # Generated 12-variable CNFs with 4 to 8 times the per-level budget of
+    # solutions overflow it at levels 0 and 1, whatever the hashes.
+    n, delta, eps = 12, 0.3, 0.5
+    params = SatSolveParams.for_instance(n, delta, eps)
+    budget = math.floor(2.0 ** (params.t + delta * n / 2.0 + 2.0))
+    pool, seed = [], 0
+    while len(pool) < 6:
+        f = generate(GeneratorSpec(problem=Problem.CNF, n=n, clause_count=8, seed=seed))
+        seed += 1
+        if 4 * budget <= brute_force_count(augment(f)) <= 8 * budget:
+            pool.append(f)
+    rows = []  # the row count m + t of every sampled hash
+    sample = satcount.sample_hash
+
+    def recording(s, m, n, rng):
+        rows.append(m)
+        return sample(s, m, n, rng)
+
+    monkeypatch.setattr(satcount, "sample_hash", recording)
+    cfg = SatSolveConfig(brute_force_constant=0.0)
+    good, trials = 0, 60
+    for i in range(trials):
+        f = pool[i % len(pool)]
+        exact = brute_force_count(augment(f))
+        rows.clear()
+        v = sat_solve(f, params, EnumerationDecider(f),
+                      derive_stream(RngStream(115), f"level-{i}"), config=cfg)
+        assert max(rows) - params.t >= 2
+        good += v is not None and abs(v - exact) <= eps * exact
+    # fails a sound counter with probability at most 1e-3
+    assert good >= _binomial_floor(trials, 0.75, 1e-3)
+
+
 def test_output_bounds_property():
     # Whatever the run does, the output is None or an integer in [0, 2^n].
     gen = np.random.default_rng(113)
