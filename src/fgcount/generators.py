@@ -26,7 +26,7 @@ from .reductions import (
     count_nwt_exact,
     count_ov_exact,
 )
-from .rng import RngStream, derive_stream
+from .rng import RngStream, _distinct_rows, _raw_bits, derive_stream
 from .satcount import CnfFormula
 
 __all__ = ["GeneratorSpec", "InfeasiblePlant", "generate"]
@@ -279,15 +279,18 @@ def _gen_nwt(spec: GeneratorSpec, rng: RngStream) -> NwtInstance:
 
 
 def _gen_cnf(spec: GeneratorSpec, rng: RngStream) -> CnfFormula:
+    """m clauses of k distinct variables each, read from the stream's raw words.
+
+    First m*n keys give each clause its variables, in increasing order
+    (``_distinct_rows``); then m*k bits give the signs, bit i*k + j making
+    clause i's j-th literal positive when set (``_raw_bits``).
+    """
     if spec.planted_count is not None:
         raise InfeasiblePlant("exact solution-count planting is not supported for CNF")
     n = spec.n
     k = min(spec.width_k, n)
     m = spec.clause_count if spec.clause_count else 4 * n
-    gen = rng.generator()
-    clauses = []
-    for _ in range(m):
-        variables = gen.choice(n, size=k, replace=False) + 1
-        signs = gen.integers(0, 2, size=k)
-        clauses.append(tuple(int(v) if s else -int(v) for v, s in zip(variables, signs)))
-    return CnfFormula(n_vars=n, width_k=spec.width_k, clauses=tuple(clauses))
+    source = rng.generator().bit_generator
+    variables = _distinct_rows(source, m, k, n) + 1
+    literals = np.where(_raw_bits(source, m * k).reshape(m, k), variables, -variables)
+    return CnfFormula(n_vars=n, width_k=spec.width_k, clauses=tuple(map(tuple, literals.tolist())))

@@ -13,6 +13,11 @@ knowing:
   sharing one generator.
 * labels are plain byte strings; distinct labels give statistically
   independent streams (they key a BLAKE2 hash of the label).
+
+The XOR hashes and the CNF generator read the bit generator's raw 64-bit
+words (``_raw_bits``, ``_distinct_rows``) rather than ``Generator``
+methods: NEP 19 keeps a seeded bit generator's raw stream fixed across numpy
+releases, but lets the methods change how they turn it into values.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import numpy as np
 __all__ = ["RngStream", "derive_stream"]
 
 _SEED_MASK = (1 << 64) - 1
+# Raw keys ranked per block of rows in _distinct_rows: 2 MB of uint64.
+_KEY_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,3 +75,30 @@ def derive_stream(master: RngStream, label: bytes | str) -> RngStream:
     if isinstance(label, str):
         label = label.encode("utf-8")
     return RngStream(master.seed, master.stream_label + b"/" + label)
+
+
+def _raw_bits(source: np.random.BitGenerator, count: int) -> np.ndarray:
+    """``count`` uniform bits (uint8 0/1) from the next ceil(count/64) raw words.
+
+    Bit i is bit i % 64 of word i // 64, least significant first.
+    """
+    words = source.random_raw(-(-count // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+
+
+def _distinct_rows(source: np.random.BitGenerator, rows: int, k: int, n: int) -> np.ndarray:
+    """A (rows, k) int64 array whose rows are independent uniform k-subsets
+    of range(n), each in increasing order.
+
+    Row i reads raw words i*n .. i*n + n - 1 as keys for 0 .. n-1 and keeps
+    the k variables with the smallest keys (two equal 64-bit keys, the only
+    bias, have probability below n^2 / 2^65 a row).  Rows are ranked in
+    blocks of at most ``_KEY_BLOCK`` keys, which bounds the memory and does
+    not change the result.
+    """
+    out = np.empty((rows, k), dtype=np.int64)
+    step = max(1, _KEY_BLOCK // n)
+    for lo in range(0, rows, step):
+        keys = source.random_raw(min(step, rows - lo) * n).reshape(-1, n)
+        out[lo : lo + step] = np.sort(keys.argpartition(k - 1, axis=1)[:, :k], axis=1)
+    return out

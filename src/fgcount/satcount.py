@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .rng import RngStream, derive_stream
+from .rng import RngStream, _distinct_rows, _raw_bits, derive_stream
 from .oracles import amplify
 
 __all__ = [
@@ -236,33 +236,35 @@ def sample_hash(s: int, m: int, n: int, rng: RngStream) -> SparseXorSystem:
 
     Each row independently picks a uniform size-s subset of [n] as its
     support and uniform coefficient bits on it; its mask holds the support
-    variables whose coefficient is 1.  Per row the stream is read as a
-    ``choice`` of s variables, then s coefficient bits, the i-th bit
-    belonging to the i-th smallest variable.  Right-hand sides are left
-    zero here; ``conjoin`` draws them fresh (they must be independent of
-    the matrix and of each other across hashed copies).
+    variables whose coefficient is 1.  The stream's raw words are read in
+    one pass: first m*n keys, row i's s support variables being the ones
+    with the smallest of its n keys (``_distinct_rows``); then m*s
+    coefficient bits, bit i*s + j belonging to row i's j-th smallest
+    variable (``_raw_bits``).  Right-hand sides are left zero here;
+    ``conjoin`` draws them fresh (they must be independent of the matrix
+    and of each other across hashed copies).
     """
     if not 1 <= s <= n:
         raise ValueError(f"support size s={s} must satisfy 1 <= s <= n={n}")
     if not 0 <= m <= n:
         raise ValueError(f"row count m={m} must satisfy 0 <= m <= n={n}")
-    gen = rng.generator()
-    rows = []
-    for _ in range(m):
-        support = np.sort(gen.choice(n, size=s, replace=False))
-        coeffs = gen.integers(0, 2, size=s)
-        rows.append((sum(1 << p for p in support[coeffs == 1].tolist()), 0))
-    return SparseXorSystem(n, tuple(rows))
+    source = rng.generator().bit_generator
+    support = _distinct_rows(source, m, s, n)
+    dense = np.zeros((m, n), dtype=np.uint8)
+    dense[np.arange(m)[:, None], support] = _raw_bits(source, m * s).reshape(m, s)
+    masks = np.packbits(dense, axis=1, bitorder="little")
+    return SparseXorSystem(n, tuple((int.from_bytes(row.tobytes(), "little"), 0) for row in masks))
 
 
 def conjoin(cnf: CnfFormula, system: SparseXorSystem, rng: RngStream) -> AugmentedFormula:
     """Attach ``system``'s masks to ``cnf`` with a fresh uniform right-hand side.
 
-    One draw of len(rows) bits; the rhs of each row of ``system`` is ignored.
+    Row i's right-hand side is bit i of the stream's raw words
+    (``_raw_bits``); the rhs of each row of ``system`` is ignored.
     """
     if system.n_vars != cnf.n_vars:
         raise ValueError("dimension mismatch between formula and XOR system")
-    b = rng.generator().integers(0, 2, size=len(system.rows)).tolist()
+    b = _raw_bits(rng.generator().bit_generator, len(system.rows)).tolist()
     rows = tuple((mask, bit) for (mask, _), bit in zip(system.rows, b))
     return AugmentedFormula(cnf, SparseXorSystem(system.n_vars, rows))
 

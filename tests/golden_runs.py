@@ -29,7 +29,11 @@ does (its RNG consumption, a constant) regenerates the records and says why:
 
     PYTHONPATH=src python tests/golden_runs.py --force
 
-Without ``--force`` the script refuses to overwrite an existing file.
+Without ``--force`` the script refuses to overwrite an existing file.  With
+it, the script prints every record whose content changed, as
+``file name: old -> new`` (``(absent)`` for a record added or dropped), and
+then how many records of each file changed and how many did not, so the
+regeneration lists itself.
 """
 
 from __future__ import annotations
@@ -251,8 +255,8 @@ SAT_RUNS = {
     "cnf-hash-16/seed-1/count-0": lambda: _cnf_hash_16(0),
     "cnf-hash-16/seed-1/count-1": lambda: _cnf_hash_16(1),
     "cnf-hash-16/seed-1/count-2": lambda: _cnf_hash_16(2),
-    "sat_solve/level-0": lambda: _sat_solve(28, 3, 2),
-    "sat_solve/level-1": lambda: _sat_solve(28, 5, 1),
+    "sat_solve/level-0": lambda: _sat_solve(28, 5, 1),
+    "sat_solve/level-1": lambda: _sat_solve(28, 3, 2),
     "sat_solve/level-0-same-formula": lambda: _sat_solve(28, 5, 2),
     "sat_solve/level-3": lambda: _sat_solve(16, 1, 1),
     "sat_solve/no-estimate": _no_estimate,
@@ -262,7 +266,7 @@ SAT_RUNS = {
     "sparse_count/partial-assignment": lambda: _sparse(_SMALL.assign(3, 1).assign(7, 0), 4096),
     "sparse_count/hashed": lambda: _sparse(_hashed(3), 1 << 16),
     "sparse_count/hashed-over-budget": lambda: _sparse(_hashed(3), 50),
-    "sparse_count/hashed-no-solution": lambda: _sparse(_hashed(12), 1 << 16),
+    "sparse_count/hashed-no-solution": lambda: _sparse(_hashed(13), 1 << 16),
 }
 
 RECORDS = {EDGE_PATH: EDGE_RUNS, SAT_PATH: SAT_RUNS}
@@ -281,10 +285,19 @@ def main(argv: list[str]) -> int:
         print(f"error: {', '.join(existing)} exists; pass --force to overwrite", file=sys.stderr)
         return 1
     for path, runs in RECORDS.items():
+        old = load(path) if path.exists() else {}
         records = {name: run() for name, run in runs.items()}
+        changed = [name for name in {**old, **records} if old.get(name) != records.get(name)]
+        for name in changed:
+            print(f"{path.name} {name}: {_shown(old, name)} -> {_shown(records, name)}")
         path.write_text(json.dumps(records, indent=1) + "\n")
-        print(f"wrote {len(records)} records to {path}")
+        print(f"wrote {len(records)} records to {path}: "
+              f"{len(changed)} changed, {len(records.keys() - changed)} unchanged")
     return 0
+
+
+def _shown(records: dict, name: str) -> str:
+    return json.dumps(records[name]) if name in records else "(absent)"
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Instance generation: exact plants, determinism, infeasibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,19 @@ def test_cnf_generator_shape():
     assert len(f.clauses) == 50
     assert all(len(c) == 3 for c in f.clauses)
     assert all(len({abs(l) for l in c}) == 3 for c in f.clauses)
+
+
+def test_large_cnf_generation_memory_is_bounded():
+    # 16384 clauses over 4096 variables: ranking every clause's keys at
+    # once would hold 512 MB; the row blocks keep the peak to a few MB.
+    tracemalloc.start()
+    try:
+        f = generate(GeneratorSpec(problem=Problem.CNF, n=4096, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.clauses) == 4 * 4096
+    assert peak < 16 * 2**20
 
 
 def test_nwt_parts_override():

@@ -1,8 +1,11 @@
 """Replay the golden edge-layer and #CNF records (see ``golden_runs.py``)."""
 
 import hashlib
+import json
 
 import pytest
+
+import golden_runs
 
 from fgcount.edgecount import edge_count
 from fgcount.oracles import BipartiteOracles, matrix_oracles
@@ -32,6 +35,21 @@ def test_sat_run_matches_its_golden_record(name):
 def test_records_are_not_overwritten_without_force(capsys):
     assert main([]) == 1
     assert "pass --force" in capsys.readouterr().err
+
+
+def test_force_lists_each_changed_record(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "runs.json"
+    path.write_text(json.dumps({"same": {"value": 1}, "moved": {"value": 2}, "dropped": 3}))
+    runs = {"same": lambda: {"value": 1}, "moved": lambda: {"value": 5}, "added": lambda: [4]}
+    monkeypatch.setattr(golden_runs, "RECORDS", {path: runs})
+    assert main(["--force"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'runs.json moved: {"value": 2} -> {"value": 5}',
+        "runs.json dropped: 3 -> (absent)",
+        "runs.json added: (absent) -> [4]",
+        f"wrote 3 records to {path}: 3 changed, 1 unchanged",
+    ]
+    assert load(path) == {"same": {"value": 1}, "moved": {"value": 5}, "added": [4]}
 
 
 def test_bip_loop_query_sequence_is_pinned():

@@ -1,11 +1,18 @@
-"""Determinism and independence of the labeled stream derivation."""
+"""Determinism and independence of the labeled stream derivation, and the
+distributions of the draws made from raw words."""
+
+import math
+from collections import Counter
+from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from fgcount.generators import GeneratorSpec, generate
 from fgcount.instances import Problem, dumps_instance
-from fgcount.rng import RngStream, derive_stream
+from fgcount.rng import RngStream, _distinct_rows, derive_stream
+from fgcount.satcount import sample_hash
 
 
 def test_same_seed_label_identical_bits():
@@ -81,3 +88,62 @@ def test_generate_takes_a_numpy_integer_seed():
     spec = GeneratorSpec(problem=Problem.OV, n=10, d=4, seed=np.uint64(3))
     plain = GeneratorSpec(problem=Problem.OV, n=10, d=4, seed=3)
     assert dumps_instance(generate(spec)) == dumps_instance(generate(plain))
+
+
+# -- draws from raw words ------------------------------------------------------
+
+
+def assert_binomial(counts: dict, trials: int, p: dict, alpha: float = 1e-3) -> None:
+    """Each ``counts[c]`` lies within the two-sided normal slack of
+    Binomial(trials, p[c]), Bonferroni-split so that a uniform source fails
+    the whole check with probability about ``alpha``."""
+    z = NormalDist().inv_cdf(1 - alpha / (2 * len(p)))
+    for cell, q in p.items():
+        slack = z * math.sqrt(trials * q * (1 - q))
+        assert abs(counts.get(cell, 0) - trials * q) <= slack, (cell, counts.get(cell, 0), trials * q)
+
+
+def test_distinct_rows_are_uniform_sorted_subsets():
+    n, k, rows = 8, 3, 20_000
+    drawn = _distinct_rows(RngStream(41).generator().bit_generator, rows, k, n)
+    assert drawn.shape == (rows, k) and drawn.dtype == np.int64
+    assert (np.diff(drawn, axis=1) > 0).all() and drawn.min() >= 0 and drawn.max() < n
+    subsets = list(combinations(range(n), k))
+    counts = Counter(map(tuple, drawn.tolist()))
+    assert_binomial(counts, rows, {c: 1 / len(subsets) for c in subsets})
+
+
+def test_distinct_rows_do_not_depend_on_the_block_size(monkeypatch):
+    bits = lambda: RngStream(42).generator().bit_generator
+    whole = _distinct_rows(bits(), 50, 2, 7)
+    monkeypatch.setattr("fgcount.rng._KEY_BLOCK", 15)  # two rows a block
+    assert (_distinct_rows(bits(), 50, 2, 7) == whole).all()
+    assert _distinct_rows(bits(), 0, 2, 7).shape == (0, 2)
+
+
+def test_sample_hash_rows_are_uniform_below_full_support():
+    # s < n: a row's mask is its support's variables with coefficient 1, so
+    # its size is Binomial(s, 1/2) exactly when the support has s variables
+    # and the coefficients are fair, and each variable is in it with
+    # probability s/n * 1/2.
+    s, n, systems = 3, 8, 2_000
+    master = RngStream(43)
+    masks = [mask for i in range(systems)
+             for mask, _ in sample_hash(s, n, n, derive_stream(master, f"h-{i}")).rows]
+    rows = len(masks)
+    sizes = Counter(mask.bit_count() for mask in masks)
+    assert set(sizes) <= set(range(s + 1))
+    assert_binomial(sizes, rows, {c: math.comb(s, c) / 2**s for c in range(s + 1)})
+    members = Counter(v for mask in masks for v in range(n) if mask >> v & 1)
+    assert_binomial(members, rows, {v: s / n / 2 for v in range(n)})
+
+
+def test_generated_cnf_clauses_are_uniform():
+    n, k, m = 8, 3, 20_000
+    f = generate(GeneratorSpec(problem=Problem.CNF, n=n, clause_count=m, width_k=k, seed=44))
+    variables = [tuple(abs(lit) for lit in clause) for clause in f.clauses]
+    assert len(variables) == m and all(len(set(vs)) == k for vs in variables)
+    members = Counter(v for vs in variables for v in vs)
+    assert_binomial(members, m, {v: k / n for v in range(1, n + 1)})
+    positive = Counter(j for clause in f.clauses for j, lit in enumerate(clause) if lit > 0)
+    assert_binomial(positive, m, {j: 1 / 2 for j in range(k)})
