@@ -281,9 +281,10 @@ def _gen_nwt(spec: GeneratorSpec, rng: RngStream) -> NwtInstance:
 def _gen_cnf(spec: GeneratorSpec, rng: RngStream) -> CnfFormula:
     """m clauses of k distinct variables each, read from the stream's raw words.
 
-    First m*n keys give each clause its variables, in increasing order
-    (``_distinct_rows``); then m*k bits give the signs, bit i*k + j making
-    clause i's j-th literal positive when set (``_raw_bits``).
+    First the clauses' variables, in increasing order (``_distinct_rows``:
+    k indices a clause when 4k^2 <= n, otherwise n keys a clause whose k
+    smallest win); then m*k bits give the signs, bit i*k + j making clause
+    i's j-th literal positive when set (``_raw_bits``).
     """
     if spec.planted_count is not None:
         raise InfeasiblePlant("exact solution-count planting is not supported for CNF")

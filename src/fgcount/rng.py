@@ -90,15 +90,41 @@ def _distinct_rows(source: np.random.BitGenerator, rows: int, k: int, n: int) ->
     """A (rows, k) int64 array whose rows are independent uniform k-subsets
     of range(n), each in increasing order.
 
-    Row i reads raw words i*n .. i*n + n - 1 as keys for 0 .. n-1 and keeps
-    the k variables with the smallest keys (two equal 64-bit keys, the only
-    bias, have probability below n^2 / 2^65 a row).  Rows are ranked in
-    blocks of at most ``_KEY_BLOCK`` keys, which bounds the memory and does
-    not change the result.
+    When 4k^2 <= n, a row is drawn as k indices, raw word w giving
+    floor(w * n / 2^64), and drawn again from the next raw words while two
+    of them coincide (``_index_rows``): at most k(k-1)/2n <= 1/8 of the rows
+    repeat, so a row reads about k words.  Otherwise row i reads raw words
+    i*n .. i*n + n - 1 as keys for 0 .. n-1 and keeps the k variables with
+    the smallest keys, ranked in blocks of at most ``_KEY_BLOCK`` keys,
+    which bounds the memory and does not change the result.  The only
+    biases, unequal index weights and equal keys, are below n^2 / 2^64 a row.
     """
+    if 4 * k * k <= n:
+        return _index_rows(source, rows, k, n)
     out = np.empty((rows, k), dtype=np.int64)
     step = max(1, _KEY_BLOCK // n)
     for lo in range(0, rows, step):
         keys = source.random_raw(min(step, rows - lo) * n).reshape(-1, n)
         out[lo : lo + step] = np.sort(keys.argpartition(k - 1, axis=1)[:, :k], axis=1)
     return out
+
+
+def _index_rows(source: np.random.BitGenerator, rows: int, k: int, n: int) -> np.ndarray:
+    """``_distinct_rows`` for 4k^2 <= n: rows*k raw words make the rows, in
+    order; then the rows holding a repeated index, in increasing row order,
+    take the next words, until none repeats."""
+    out = np.sort(_indices(source, rows * k, n).reshape(rows, k), axis=1)
+    redo = np.flatnonzero((np.diff(out, axis=1) == 0).any(axis=1))
+    while redo.size:
+        out[redo] = np.sort(_indices(source, redo.size * k, n).reshape(-1, k), axis=1)
+        redo = redo[(np.diff(out[redo], axis=1) == 0).any(axis=1)]
+    return out
+
+
+def _indices(source: np.random.BitGenerator, count: int, n: int) -> np.ndarray:
+    """floor(w * n / 2^64) for the next ``count`` raw words w (n <= 2^32),
+    multiplied in 32-bit halves so that uint64 does not overflow."""
+    words = source.random_raw(count)
+    high, low = words >> np.uint64(32), words & np.uint64(0xFFFFFFFF)
+    n64 = np.uint64(n)
+    return ((high * n64 + (low * n64 >> np.uint64(32))) >> np.uint64(32)).astype(np.int64)

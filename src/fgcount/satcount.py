@@ -237,8 +237,8 @@ def sample_hash(s: int, m: int, n: int, rng: RngStream) -> SparseXorSystem:
     Each row independently picks a uniform size-s subset of [n] as its
     support and uniform coefficient bits on it; its mask holds the support
     variables whose coefficient is 1.  The stream's raw words are read in
-    one pass: first m*n keys, row i's s support variables being the ones
-    with the smallest of its n keys (``_distinct_rows``); then m*s
+    one pass: first the m supports (``_distinct_rows``: s indices a row
+    when 4s^2 <= n, otherwise n keys a row whose s smallest win); then m*s
     coefficient bits, bit i*s + j belonging to row i's j-th smallest
     variable (``_raw_bits``).  Right-hand sides are left zero here;
     ``conjoin`` draws them fresh (they must be independent of the matrix

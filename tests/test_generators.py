@@ -86,8 +86,8 @@ def test_cnf_generator_shape():
 
 
 def test_large_cnf_generation_memory_is_bounded():
-    # 16384 clauses over 4096 variables: ranking every clause's keys at
-    # once would hold 512 MB; the row blocks keep the peak to a few MB.
+    # 16384 clauses over 4096 variables, drawn as 3 indices each; ranking
+    # 4096 keys a clause at once would hold 512 MB.
     tracemalloc.start()
     try:
         f = generate(GeneratorSpec(problem=Problem.CNF, n=4096, seed=1))
