@@ -255,8 +255,9 @@ SAT_RUNS = {
     "cnf-hash-16/seed-1/count-0": lambda: _cnf_hash_16(0),
     "cnf-hash-16/seed-1/count-1": lambda: _cnf_hash_16(1),
     "cnf-hash-16/seed-1/count-2": lambda: _cnf_hash_16(2),
-    "sat_solve/level-0": lambda: _sat_solve(28, 5, 1),
-    "sat_solve/level-1": lambda: _sat_solve(28, 3, 2),
+    "sat_solve/level-0": lambda: _sat_solve(28, 1, 2),
+    # one formula that two hash seeds stop at different levels
+    "sat_solve/level-1": lambda: _sat_solve(28, 5, 18),
     "sat_solve/level-0-same-formula": lambda: _sat_solve(28, 5, 2),
     "sat_solve/level-3": lambda: _sat_solve(16, 1, 1),
     "sat_solve/no-estimate": _no_estimate,

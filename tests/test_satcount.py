@@ -649,7 +649,7 @@ def test_all_levels_failing_returns_no_estimate():
     assert value is None
 
 
-def test_counting_runs_are_pinned():
+def test_counting_runs_are_pinned(monkeypatch):
     # Values and oracle-call counts of fixed runs: a refactor that keeps the
     # counter's behaviour keeps every one of them exactly.
     cfg = SatSolveConfig(brute_force_constant=0.0)
@@ -665,9 +665,19 @@ def test_counting_runs_are_pinned():
         enum = EnumerationDecider(f)
         value = sat_solve(f, params, enum, RngStream(seed), config=cfg)
         assert (value, enum.calls) == expected
-    f = generate(GeneratorSpec(problem=Problem.CNF, n=20, clause_count=80, seed=5))
-    # exact 9, within the budget of the stage before the hashes
-    assert approx_count_cnf(f, 0.4, 0.3, RngStream(7), config=cfg) == 9
+    f = generate(GeneratorSpec(problem=Problem.CNF, n=20, clause_count=80, seed=16))
+    rows = []  # the row count m + t of every sampled hash
+    sample = satcount.sample_hash
+
+    def recording(s, m, n, rng):
+        rows.append(m)
+        return sample(s, m, n, rng)
+
+    monkeypatch.setattr(satcount, "sample_hash", recording)
+    # exact 39, over the budget of the stage before the hashes: 16 hashed
+    # copies of 4 rows (level 0) are counted
+    assert approx_count_cnf(f, 0.4, 0.3, RngStream(7), config=cfg) == 38
+    assert rows == [4] * 16
     # the pairs of test_sparse_count_matches_exhaustive_on_random_pairs
     gen = np.random.default_rng(90)
     records = []
