@@ -129,7 +129,7 @@ def find_core(
         return oracles.count_edges_incident(all_left, X)
 
     gen = rng.generator()
-    order = gen.permutation(oracles.left_size)  # int64: its windows are copied unconverted
+    order = gen.permutation(oracles.left_size)
     t = order.size
 
     # Every vertex before ``lo`` is located or certified isolated from X, so

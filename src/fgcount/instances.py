@@ -89,13 +89,16 @@ def loads_instance(text: str) -> ProblemInstance:
             # an empty list keeps d as its width, so the file round-trips
             return OvInstance(*(v.reshape(0, d) if v.shape == (0,) else v for v in (a, b)))
         if kind == "nwt":
-            parts = payload["parts"]
+            parts = tuple(_integers(payload["parts"][k], f"part {k}") for k in "ABC")
             edges = _integers(payload["edges"], "edges")
             if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
                 raise ValueError("edges must be [u, v, w] triples")
+            # the matrices are n x n for n = the largest id + 1: bound it first
+            members = sum(p.size for p in parts)
+            if any(p.size and p.max() >= members for p in parts):
+                raise ValueError(f"nwt part ids must lie below the {members} part members")
             return NwtInstance.from_edges(
-                tuple(_integers(parts[k], f"part {k}") for k in "ABC"),
-                [(int(u), int(v), int(w)) for u, v, w in edges.reshape(-1, 3)],
+                parts, [(int(u), int(v), int(w)) for u, v, w in edges.reshape(-1, 3)]
             )
     except KeyError as exc:
         raise ValueError(f"{kind} instance lacks the key {exc}") from exc

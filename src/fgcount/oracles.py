@@ -56,21 +56,9 @@ def _as_index_array(indices, copy: bool = False) -> np.ndarray:
     return arr.astype(np.int64, copy=copy)
 
 
-_INT64 = np.dtype(np.int64)
-
-
 def _sorted_indices(indices, size: int, side: str) -> np.ndarray:
-    """A sorted int64 copy of ``indices``, checked at its ends against ``size``.
-
-    A 1-D ndarray with the native int64 descriptor (a window of
-    ``find_core``'s permutation) is copied as it is; anything else,
-    including a big-endian int64 array, is checked and converted by
-    ``_as_index_array``.
-    """
-    if type(indices) is np.ndarray and indices.dtype is _INT64 and indices.ndim == 1:
-        arr = indices.copy()
-    else:
-        arr = _as_index_array(indices, copy=True)
+    """A sorted int64 copy of ``indices``, checked at its ends against ``size``."""
+    arr = _as_index_array(indices, copy=True)
     arr.sort()
     if arr.size and not (0 <= arr.item(0) and arr.item(-1) < size):
         raise IndexError(f"{side} index out of range")
@@ -183,26 +171,13 @@ class BipartiteOracles:
         """True iff the subset (left ∪ right) spans no edge. Counts as one query.
 
         ``right`` is raw indices or a ``bind_right`` value; raw indices are
-        bound on the spot.  The predicate always receives a sorted left
-        array (the query is about set contents; sorting is the canonical
-        form, and decision backends may rely on it).
-
-        A query against a bound value with a one-element native int64
-        window costs one copy, a check of the element against the left
-        size, the counter and the predicate: about
-        0.5–0.6 µs before the predicate on a 2-vCPU Xeon VM (Python 3.11,
-        numpy 2.4), where ``matrix_oracles``' predicate adds about 0.3 µs.  A
-        longer window of that kind is also sorted in place and checked at
-        its two ends; other inputs are checked and converted first.
+        bound on the spot.  ``left`` is checked and converted, and the
+        predicate receives a fresh sorted int64 copy, which it may write
+        (the query is about set contents; sorting is the canonical form, and
+        decision backends may rely on it).
         """
-        if not (isinstance(right, _BoundRight) and right.owner is self):
-            right = self.bind_right(right)
-        if type(left) is np.ndarray and left.dtype is _INT64 and left.shape == (1,):
-            left = left.copy()
-            if not 0 <= left.item() < self.left_size:
-                raise IndexError("left index out of range")
-        else:
-            left = _sorted_indices(left, self.left_size, "left")
+        right = self.bind_right(right)
+        left = _sorted_indices(left, self.left_size, "left")
         self.independence_calls += 1
         return bool(right.predicate(left))
 
@@ -225,8 +200,7 @@ class BipartiteOracles:
         chunk holding an out-of-range entry, which raises ``IndexError``
         where the per-vertex loop would.
         """
-        if not (isinstance(right, _BoundRight) and right.owner is self):
-            right = self.bind_right(right)
+        right = self.bind_right(right)
         window = _as_index_array(window)
         size = window.size
         resume = 0
@@ -266,28 +240,24 @@ class BipartiteOracles:
             raise ValueError(f"adjacency answered shape {counts.shape}, not {right.shape}")
         return counts
 
-    def _block(self, left, right) -> np.ndarray:
-        """The checked, counted block behind all three adjacency entry points."""
-        left, right = self._counted(left, right)
-        out = np.empty((left.size, right.size), dtype=bool)
-        for i in range(left.size):
-            out[i] = self._answer(left[i : i + 1], right)
-        return out
-
     def adjacency_query(self, u: int, v: int) -> bool:
         """True iff (u, v) is an edge. Counts as one query."""
-        return bool(self._block([u], [v])[0, 0])
+        return bool(self.adjacency_block([u], [v])[0, 0])
 
     def adjacency_row(self, u: int, right) -> np.ndarray:
         """Adjacency of left vertex ``u`` against each of ``right``.
 
         Counts as ``len(right)`` adjacency queries.
         """
-        return self._block([u], right)[0]
+        return self.adjacency_block([u], right)[0]
 
     def adjacency_block(self, left, right) -> np.ndarray:
         """Adjacency matrix of ``left`` x ``right``; len(left)*len(right) queries."""
-        return self._block(left, right)
+        left, right = self._counted(left, right)
+        out = np.empty((left.size, right.size), dtype=bool)
+        for i in range(left.size):
+            out[i] = self._answer(left[i : i + 1], right)
+        return out
 
     def neighbor_counts(self, left, right) -> np.ndarray:
         """Neighbours in ``left`` of each vertex of ``right`` (int64): both sides

@@ -44,6 +44,12 @@ def test_count_cnf_and_exact(runner, tmp_path):
     assert r.exit_code == 0, r.output
     est, exact_line = r.output.strip().splitlines()
     assert exact_line == f"exact {est}"  # tiny instance: exact stage
+    plain = "p cnf 3 2\n1 2 0\n-1 3 0\n"  # 4 solutions
+    for text in (plain, "c a comment\n\n" + plain, plain.removesuffix(" 0\n") + "\n"):
+        path.write_text(text)
+        r = runner.invoke(main, ["count-cnf", str(path), "--exact"])
+        assert r.exit_code == 0, r.output
+        assert r.output.splitlines() == ["4", "exact 4"], text
 
 
 def test_env_seed_overrides_flag(runner, tmp_path):
@@ -85,6 +91,14 @@ def test_bench_emits_csv(runner, tmp_path):
     assert text.startswith("# fgcount-csv v1\n")
     assert "# summary:" in text
     assert text.count("\n") == 3 + 3  # tag, header, 3 rows, summary
+    # a generator's "parts" list is taken as the part sizes
+    cfg.write_text(json.dumps({
+        "eps": 0.3, "trials": 2, "master_seed": 11,
+        "generator": {"problem": "nwt", "n": 9, "parts": [3, 3, 3], "seed": 2},
+    }))
+    r = runner.invoke(main, ["bench", str(cfg), "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert out.read_text().count("\n") == 3 + 2
 
 
 def test_probe_csv(runner):
@@ -254,11 +268,14 @@ _NWT_PARTS = {"A": [0], "B": [1], "C": [2]}
     ("count-ov", {"type": "ov", "d": True, "A": [[1]], "B": [[0]]}),
     ("count-ov", {"type": "ov", "d": "x", "A": [], "B": []}),
     ("count-ov", {"type": "ov", "d": -2, "A": [], "B": []}),
+    # this one asked numpy for a 10^7 x 10^7 matrix and died with a traceback
+    ("count-nwt", {"type": "nwt", "parts": {"A": [0], "B": [1], "C": [10**7]}, "edges": []}),
 ], ids=["ov-missing-key", "nwt-endpoint-above-n", "ov-negative-entry",
         "bench-missing-instance", "nwt-negative-endpoint", "3sum-float-entry",
         "nwt-negative-part-member", "3sum-nested-list", "nwt-weight-overflow",
         "3sum-minus-two-to-the-63", "nwt-repeated-edge", "ov-missing-d", "ov-wrong-d",
-        "ov-bool-d", "ov-string-d-no-vectors", "ov-negative-d-no-vectors"])
+        "ov-bool-d", "ov-string-d-no-vectors", "ov-negative-d-no-vectors",
+        "nwt-vertex-id-beyond-parts"])
 def test_malformed_instance_files_are_usage_errors(runner, tmp_path, command, payload):
     if command == "bench":
         payload = {**payload, "instance_path": str(tmp_path / "missing.json")}
@@ -313,12 +330,15 @@ _BENCH_CONFIG = {"eps": 0.3, "trials": 2, "master_seed": 11,
     # each of these exited 0, taking true as 1
     {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "planted_count": True}},
     {**_BENCH_CONFIG, "generator": {**_BENCH_CONFIG["generator"], "density": True}},
+    {k: v for k, v in _BENCH_CONFIG.items() if k != "trials"},
+    {**_BENCH_CONFIG, "eps": 1.5},
+    {**_BENCH_CONFIG, "generator": {"problem": "nwt", "n": 9, "parts": [2, 3, 3], "seed": 2}},
 ], ids=["top-level-list", "unknown-key", "float-trials", "bool-trials", "string-seed",
         "string-eps", "null-cnf-delta", "string-compute-exact", "unknown-generator-key",
         "string-override", "zero-zeta-constant", "infinite-core-factor", "zero-core-factor",
         "negative-core-factor", "unknown-override", "float-generator-n", "float-generator-d",
         "string-generator-seed", "float-width-k", "float-clause-count", "bool-planted-count",
-        "bool-density"])
+        "bool-density", "missing-trials", "eps-above-one", "nwt-parts-not-summing-to-n"])
 def test_malformed_bench_configs_are_usage_errors(runner, tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -14,7 +14,7 @@ from fgcount.instances import (
     save_instance,
 )
 from fgcount.reductions import NwtInstance, OvInstance, ThreeSumInstance
-from fgcount.satcount import CapExceeded, CnfFormula
+from fgcount.satcount import CapExceeded, CnfFormula, parse_dimacs
 
 
 def test_3sum_json_round_trip(tmp_path):
@@ -55,6 +55,32 @@ def test_cnf_dimacs_round_trip():
     back = loads_instance(dumps_instance(f))
     assert isinstance(back, CnfFormula)
     assert back.clauses == f.clauses
+
+
+_NO_EDGES = (np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=np.int64))
+_ONE_WAY = np.zeros((3, 3), dtype=bool)
+_ONE_WAY[0, 1] = True
+_TO_OUTSIDE = np.zeros((4, 4), dtype=bool)
+_TO_OUTSIDE[0, 3] = _TO_OUTSIDE[3, 0] = True
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NwtInstance(4, [0], [1], [2], *_NO_EDGES),
+    lambda: NwtInstance(3, [0], [1], [2], _ONE_WAY, _NO_EDGES[1]),
+    lambda: NwtInstance(3, [0], [0], [1], *_NO_EDGES),
+    lambda: NwtInstance(4, [0], [1], [2], _TO_OUTSIDE, np.zeros((4, 4), dtype=np.int64)),
+    lambda: OvInstance([[1, 0]], [[1, 0, 1]]),
+    lambda: OvInstance(np.zeros((1, 1, 1)), [[1]]),
+    lambda: CnfFormula(-1, 3, ()),
+    lambda: CnfFormula(2, 0, ()),
+    lambda: CnfFormula(3, 1, ((1, 2),)),
+    lambda: parse_dimacs("p cnf 2 1\n1 3 0\n"),
+], ids=["nwt-shapes-disagree-with-n", "nwt-asymmetric", "nwt-overlapping-parts",
+        "nwt-edge-outside-parts", "ov-dimensions-disagree", "ov-3d", "cnf-negative-n",
+        "cnf-zero-width", "cnf-clause-wider-than-k", "cnf-dimacs-literal-beyond-n"])
+def test_constructors_reject_inconsistent_input(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_serialization_is_byte_stable():

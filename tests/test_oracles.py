@@ -174,6 +174,13 @@ def test_repetition_count_formula():
     assert r <= 18 * np.log(200.0) + 2
 
 
+def test_oracle_constructors_reject_bad_sizes_and_shapes():
+    with pytest.raises(ValueError):
+        BipartiteOracles(-1, 2, lambda right: lambda left: True, lambda u, v: v * 0)
+    with pytest.raises(ValueError):
+        matrix_oracles(np.ones(3, dtype=bool))
+
+
 def test_amplify_rejects_bad_target():
     with pytest.raises(ValueError):
         amplify(lambda: True, 0.0)
@@ -509,9 +516,9 @@ _REJECTED_LEFTS = {
 
 
 def test_one_query_path_gives_the_same_verdicts():
-    # An int64 1-D ndarray is copied without conversion and every other
-    # input is checked and converted; both must accept and reject alike,
-    # and hand the predicate a fresh sorted int64 copy, which it may write.
+    # Every left input, whatever its type, dtype or layout, is checked and
+    # converted on one path: each accepted one reaches the predicate as a
+    # fresh sorted int64 copy, which it may write, and each rejected one raises.
     adj = np.random.default_rng(96).random((40, 30)) < 0.05
     right = np.arange(0, 30, 4)
     received = []
@@ -547,9 +554,9 @@ def test_one_query_path_gives_the_same_verdicts():
 
 
 def test_one_vertex_windows_are_checked_and_copied():
-    # find_core's usual query is a one-element slice of its int64
-    # permutation: it must be bounds-checked and reach the predicate as a
-    # fresh copy, which the predicate may write without touching the slice.
+    # first_isolated's per-vertex queries are one-element slices of
+    # find_core's int64 permutation: each must be bounds-checked and reach
+    # the predicate as a fresh copy, which it may write without touching the slice.
     adj = np.random.default_rng(97).random((40, 30)) < 0.05
     right = np.arange(0, 30, 4)
     received = []

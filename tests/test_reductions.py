@@ -241,6 +241,9 @@ def test_count_3sum_exact_fallbacks():
 def test_count_3sum_no_witnesses():
     inst = ThreeSumInstance([1, 2], [3, 4], [100, 200])
     assert count_3sum(inst, 0.5, RngStream(2)) == 0
+    empty_c = ThreeSumInstance([1, 2], [3], [])
+    assert count_3sum_exact(empty_c) == 0
+    assert decide_3sum(empty_c) is False
 
 
 def test_count_3sum_duplicate_c_through_estimator_path():

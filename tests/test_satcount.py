@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fgcount import satcount
 from fgcount.generators import GeneratorSpec, generate
 from fgcount.instances import Problem
+from fgcount.oracles import repetitions_for
 from fgcount.rng import RngStream, derive_stream
 from fgcount.satcount import (
     AugmentedFormula,
@@ -765,16 +766,37 @@ def test_wrapper_calls_the_builtin_decider_once_per_query(monkeypatch):
     assert base_calls == queries
 
 
+def test_wrapper_amplifies_a_caller_oracle():
+    # A caller's oracle is trusted only to err with probability <= 1/3, so
+    # each query is a majority vote of repetitions_for(target) calls; the
+    # votes of an exact decider agree with a plain sat_solve run at delta/3.
+    f = generate(GeneratorSpec(problem=Problem.CNF, n=10, clause_count=12, seed=4))  # 144
+    cfg = SatSolveConfig(brute_force_constant=0)
+    eps = delta = 0.3
+    voted, plain = EnumerationDecider(f), EnumerationDecider(f)
+    value = approx_count_cnf(f, eps, delta, RngStream(5), config=cfg, oracle=voted)
+    params = SatSolveParams.for_instance(10, delta / 3, eps)
+    # 138 needs the hash levels: 144 is over the self-reduction's budget
+    assert value == sat_solve(f, params, plain, RngStream(5), config=cfg) == 138
+    target = eps**2 / (satcount.AMPLIFICATION_C * 10 * 2.0 ** (delta * 10 / 3))
+    assert repetitions_for(target) == 161
+    assert voted.calls == repetitions_for(target) * plain.calls == 161 * 2375
+
+
 # -- DIMACS ------------------------------------------------------------------
 
 
 def test_dimacs_round_trip_plain():
     gen = np.random.default_rng(130)
     f = random_cnf(gen, 9, 15)
-    g = parse_dimacs(write_dimacs(f))
+    text = write_dimacs(f)
+    g = parse_dimacs(text)
     assert g.cnf.n_vars == f.n_vars
     assert g.cnf.clauses == f.clauses
     assert g.xors.rows == ()
+    # comment and blank lines are skipped, and the last clause may omit its 0
+    assert parse_dimacs("c a comment\n\n" + text) == g
+    assert parse_dimacs(text.rstrip().removesuffix(" 0") + "\n") == g
 
 
 def test_dimacs_round_trip_augmented():
@@ -795,8 +817,10 @@ def test_dimacs_refuses_a_partial_assignment():
 
 
 def test_dimacs_rejects_missing_header():
-    with pytest.raises(ValueError):
-        parse_dimacs("1 2 0\n")
+    # a problem line that is not "p cnf <n> <clauses>" is no header either
+    for text in ("1 2 0\n", "p cnf 3\n1 2 0\n", "p dnf 3 1\n1 2 0\n"):
+        with pytest.raises(ValueError):
+            parse_dimacs(text)
 
 
 def test_dimacs_rejects_xor_line_without_rhs():
